@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test bench bench-throughput bench-geom bench-geo-geodesic bench-json bench-smoke bench-fed bench-fed-json bench-live bench-live-json bench-planner bench-planner-json bench-chaos bench-chaos-json bench-store bench-store-json
+.PHONY: all fmt vet build test perfbench-check bench bench-throughput bench-geom bench-geo-geodesic bench-json bench-smoke bench-fed bench-fed-json bench-live bench-live-json bench-planner bench-planner-json bench-chaos bench-chaos-json bench-store bench-store-json
 
 all: fmt vet build test
 
@@ -20,6 +20,13 @@ build:
 # cannot hide.
 test:
 	$(GO) test -race -shuffle=on ./...
+
+# perfbench-check runs the benchmark's self-check: a tiny scale of
+# every perfbench workload, untraced and traced. perfbench is a nested
+# module that ./... skips, so without this an internal API change could
+# break the benchmark build unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) test ./...
 
 # bench runs the estimation-session benchmarks; the Parallelism pair
 # measures the wall-clock payoff of WithParallelism(8) over a

@@ -91,6 +91,12 @@ type Complex struct {
 	// polygon backing arrays.
 	facesBuf []Face
 	polyPool []geom.Polygon
+
+	// MaxDistFrom memo: the last query point and its answer, valid
+	// until the next mutation of the faces (see invalidate).
+	maxDistValid bool
+	maxDistFrom  geom.Point
+	maxDist      float64
 }
 
 // New returns a complex over the given convex bounding polygon for the
@@ -173,6 +179,10 @@ func (c *Complex) freePoly(p geom.Polygon) {
 	c.polyPool = append(c.polyPool, p[:0])
 }
 
+// invalidate drops the MaxDistFrom memo; every path that changes the
+// face set calls it.
+func (c *Complex) invalidate() { c.maxDistValid = false }
+
 // Reset returns the complex to its initial cut-free state while
 // retaining all allocated capacity (cut map buckets, face buffers,
 // polygon free list, site scratch), so repeated build/reset cycles on
@@ -186,6 +196,7 @@ func (c *Complex) Reset() {
 	f := newFace(p, 0)
 	c.faces = append(c.faces[:0], f)
 	c.cachedArea = f.area
+	c.invalidate()
 }
 
 // AddCut registers a new oriented bisector and refines the subdivision:
@@ -276,6 +287,9 @@ func (c *Complex) applyCut(line geom.Line) bool {
 	}
 	c.facesBuf = c.faces[:0]
 	c.faces = out
+	if changed {
+		c.invalidate()
+	}
 	return changed
 }
 
@@ -307,6 +321,7 @@ func (c *Complex) ReplaceCut(cut Cut) {
 	if retreat == nil && advance == nil {
 		return // indistinguishable within the bound
 	}
+	c.invalidate()
 	// Drop every face piece inside the wedge, keeping outside pieces
 	// (whose counts are unaffected by the replacement) verbatim.
 	out := c.facesBuf[:0]
@@ -396,6 +411,7 @@ func (c *Complex) rebuildWedge(w geom.Polygon) {
 		c.faces = append(c.faces, f)
 		c.cachedArea += f.area
 	}
+	c.invalidate()
 }
 
 // rebuild reconstructs the subdivision from the bound and the current
@@ -409,6 +425,7 @@ func (c *Complex) rebuild() {
 	c.cachedArea = f.area
 	c.facesBuf = nil
 	c.polyPool = nil
+	c.invalidate()
 	// Insert in sorted-key order for determinism.
 	keys := make([]int64, 0, len(cuts))
 	for k := range cuts {
@@ -550,14 +567,33 @@ func (c *Complex) RandomPoint(rng *rand.Rand) (geom.Point, bool) {
 }
 
 // MaxDistFrom returns the maximum distance from p to the region
-// (attained at a face vertex).
+// (attained at a face vertex). The answer is memoized for the last p
+// until the faces change, so, unlike the other read-only methods, it
+// must not run concurrently with any other call on the complex.
+//
+// Vertices are ranked by squared distance, and Hypot is taken only of
+// those within a relative 1e-12 of the running maximum. That window is
+// far wider than the few-ulp disagreement between the Dist2 and Hypot
+// orderings, so the result equals the maximum of Hypot over all
+// vertices exactly, at the price of a handful of Hypot calls.
 func (c *Complex) MaxDistFrom(p geom.Point) float64 {
-	var m float64
-	for _, f := range c.faces {
-		if d := f.Poly.MaxDistFrom(p); d > m {
-			m = d
+	if c.maxDistValid && c.maxDistFrom == p {
+		return c.maxDist
+	}
+	var m2, m float64
+	for i := range c.faces {
+		for _, v := range c.faces[i].Poly {
+			if d2 := p.Dist2(v); d2 >= m2*(1-1e-12) {
+				if d2 > m2 {
+					m2 = d2
+				}
+				if d := p.Dist(v); d > m {
+					m = d
+				}
+			}
 		}
 	}
+	c.maxDistValid, c.maxDistFrom, c.maxDist = true, p, m
 	return m
 }
 

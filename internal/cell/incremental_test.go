@@ -2,6 +2,7 @@ package cell
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -232,5 +233,142 @@ func TestInsertSitesBatchDuplicates(t *testing.T) {
 	}
 	if a.NumCuts() != b.NumCuts() {
 		t.Fatalf("cuts with dups %d != without %d", b.NumCuts(), a.NumCuts())
+	}
+}
+
+// sameFaces reports whether two complexes hold bitwise-identical faces
+// in the same order.
+func sameFaces(a, b *Complex) bool {
+	fa, fb := a.Faces(), b.Faces()
+	if len(fa) != len(fb) {
+		return false
+	}
+	for i := range fa {
+		if fa[i].Count != fb[i].Count || len(fa[i].Poly) != len(fb[i].Poly) {
+			return false
+		}
+		for j := range fa[i].Poly {
+			if fa[i].Poly[j] != fb[i].Poly[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestInsertSitesTieOrderDeterministic builds cells from shuffled site
+// slices in which several keys share a location: equal-distance sites
+// must pop in Key order, so every shuffle registers the same cuts and
+// yields bitwise-identical faces.
+func TestInsertSitesTieOrderDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, k := range []int{1, 2, 4} {
+		for round := 0; round < 20; round++ {
+			target := geom.RandomInRect(rng, unitBox)
+			var sites []Site
+			for i := 0; i < 25; i++ {
+				loc := geom.RandomInRect(rng, unitBox)
+				for rep := 0; rep <= rng.Intn(3); rep++ {
+					sites = append(sites, Site{Key: int64(len(sites)), Loc: loc})
+				}
+			}
+			// Mirrored pairs put distinct locations at equal distance.
+			for i := 0; i < 5; i++ {
+				d := geom.Pt(rng.Float64()*0.2, rng.Float64()*0.2)
+				sites = append(sites,
+					Site{Key: int64(len(sites)), Loc: target.Add(d)},
+					Site{Key: int64(len(sites) + 1), Loc: target.Sub(d)})
+			}
+			want := BuildFromSites(unitBox.Polygon(), k, target, sites)
+			for shuffle := 0; shuffle < 5; shuffle++ {
+				rng.Shuffle(len(sites), func(i, j int) { sites[i], sites[j] = sites[j], sites[i] })
+				got := BuildFromSites(unitBox.Polygon(), k, target, sites)
+				if !slices.Equal(got.CutKeys(), want.CutKeys()) {
+					t.Fatalf("k=%d round %d: cut keys depend on input order:\n%v\n%v",
+						k, round, got.CutKeys(), want.CutKeys())
+				}
+				if !sameFaces(got, want) {
+					t.Fatalf("k=%d round %d: faces depend on input order", k, round)
+				}
+			}
+		}
+	}
+}
+
+// uncachedMaxDist is the memo-free reference for MaxDistFrom: the
+// maximum Hypot distance over every face vertex.
+func uncachedMaxDist(c *Complex, p geom.Point) float64 {
+	var m float64
+	for _, f := range c.Faces() {
+		if d := f.Poly.MaxDistFrom(p); d > m {
+			m = d
+		}
+	}
+	return m
+}
+
+// TestMaxDistFromMemoInvalidation warms the MaxDistFrom memo before
+// every mutating call and checks the answer afterwards against a fresh
+// uncached computation, for the memoized point and a new one.
+func TestMaxDistFromMemoInvalidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, k := range []int{1, 3} {
+		target := geom.RandomInRect(rng, unitBox)
+		c := NewFromRect(unitBox, k)
+		check := func(step int, op string, c *Complex) {
+			t.Helper()
+			for _, p := range []geom.Point{target, geom.RandomInRect(rng, unitBox)} {
+				if got, want := c.MaxDistFrom(p), uncachedMaxDist(c, p); got != want {
+					t.Fatalf("k=%d step %d after %s: MaxDistFrom %v, uncached %v", k, step, op, got, want)
+				}
+			}
+		}
+		siteAt := func() Site {
+			return Site{Key: int64(rng.Intn(200)), Loc: geom.RandomInRect(rng, unitBox)}
+		}
+		for step := 0; step < 300; step++ {
+			c.MaxDistFrom(target) // warm the memo
+			switch op := rng.Intn(6); op {
+			case 0:
+				s := siteAt()
+				c.AddCut(Cut{Line: geom.Bisector(target, s.Loc), Key: s.Key})
+				check(step, "AddCut", c)
+			case 1:
+				keys := c.CutKeys()
+				if len(keys) == 0 {
+					continue
+				}
+				key := keys[rng.Intn(len(keys))]
+				l, _ := c.CutLine(key)
+				l.C += (rng.Float64() - 0.5) * 0.02
+				c.ReplaceCut(Cut{Line: l, Key: key})
+				check(step, "ReplaceCut", c)
+			case 2:
+				batch := make([]Site, 1+rng.Intn(8))
+				for i := range batch {
+					batch[i] = siteAt()
+				}
+				InsertSites(c, target, batch)
+				check(step, "InsertSites", c)
+			case 3:
+				if rng.Intn(8) == 0 {
+					c.Reset()
+					check(step, "Reset", c)
+				}
+			case 4:
+				w := c.WithK(1 + rng.Intn(k))
+				check(step, "WithK", w)
+				w.MaxDistFrom(target)
+				w.AddCut(Cut{Line: geom.Bisector(target, siteAt().Loc), Key: -1})
+				check(step, "WithK+AddCut", w)
+			case 5:
+				cl := c.Clone()
+				check(step, "Clone", cl)
+				cl.MaxDistFrom(target)
+				cl.Reset()
+				check(step, "Clone+Reset", cl)
+				check(step, "Clone (original)", c)
+			}
+		}
 	}
 }

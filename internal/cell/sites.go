@@ -101,7 +101,17 @@ func InsertSites(c *Complex, target geom.Point, sites []Site) int {
 	return changed
 }
 
-// heapifySites arranges s as a binary min-heap on d2.
+// less orders batch entries by distance, breaking ties by Key, so the
+// consumption order does not depend on the order of the input slice
+// (and in-batch duplicate keys at equal distance pop adjacently).
+func (a siteDist) less(b siteDist) bool {
+	if a.d2 != b.d2 {
+		return a.d2 < b.d2
+	}
+	return a.site.Key < b.site.Key
+}
+
+// heapifySites arranges s as a binary min-heap on (d2, Key).
 func heapifySites(s []siteDist) {
 	for i := len(s)/2 - 1; i >= 0; i-- {
 		siftDownSite(s, i)
@@ -116,10 +126,10 @@ func siftDownSite(s []siteDist, i int) {
 			return
 		}
 		least := l
-		if r := l + 1; r < len(s) && s[r].d2 < s[l].d2 {
+		if r := l + 1; r < len(s) && s[r].less(s[l]) {
 			least = r
 		}
-		if s[i].d2 <= s[least].d2 {
+		if !s[least].less(s[i]) {
 			return
 		}
 		s[i], s[least] = s[least], s[i]

@@ -7,24 +7,47 @@ import (
 	"repro/internal/lbs"
 )
 
-// BenchmarkLRCellComputation measures one full exact-cell weight
-// computation (queries are in-process, so this is the algorithmic
-// overhead, not the simulated network).
-func BenchmarkLRCellComputation(b *testing.B) {
-	db := smallService2(500, 31)
-	svc := lbs.NewService(db, lbs.Options{K: 5})
-	agg := NewLRAggregator(svc, DefaultLROptions(1))
-	// Warm the history so the benchmark reflects steady state.
-	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(50)); err != nil {
-		b.Fatal(err)
-	}
+// lrBenchJob is the number of timed LR steps one aggregator takes in
+// the LR benchmarks: an lr-job job's 200 samples.
+const lrBenchJob = 200
+
+// benchLRSteps times b.N LR estimator steps over svc in jobs of
+// lrBenchJob steps. Every job starts a fresh aggregator (seeded by the
+// job's index) and warms its history with 50 samples with the timer
+// stopped, so the history, and with it the per-step cost, does not
+// grow with b.N. It reports the timed steps' queries per sample.
+func benchLRSteps(b *testing.B, svc *lbs.Service) {
+	ctx := context.Background()
+	aggs := []Aggregate{Count()}
+	var agg *LRAggregator
+	var queries int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), []Aggregate{Count()}); err != nil {
+		if i%lrBenchJob == 0 {
+			b.StopTimer()
+			agg = NewLRAggregator(svc, DefaultLROptions(int64(1+i/lrBenchJob)))
+			if _, err := agg.Run(ctx, aggs, WithMaxSamples(50)); err != nil {
+				b.Fatal(err)
+			}
+			queries -= svc.QueryCount()
+			b.StartTimer()
+		}
+		if _, err := agg.Step(ctx, aggs); err != nil {
 			b.Fatal(err)
 		}
+		if i%lrBenchJob == lrBenchJob-1 || i == b.N-1 {
+			queries += svc.QueryCount()
+		}
 	}
-	b.ReportMetric(float64(svc.QueryCount())/float64(agg.Stats().Samples), "queries/sample")
+	b.ReportMetric(float64(queries)/float64(b.N), "queries/sample")
+}
+
+// BenchmarkLRCellComputation measures the exact-cell weight
+// computations of one LR sample (queries are in-process, so this is
+// the algorithmic overhead, not the simulated network).
+func BenchmarkLRCellComputation(b *testing.B) {
+	db := smallService2(500, 31)
+	benchLRSteps(b, lbs.NewService(db, lbs.Options{K: 5}))
 }
 
 // BenchmarkLRSample measures one end-to-end LR estimator sample
@@ -33,20 +56,8 @@ func BenchmarkLRCellComputation(b *testing.B) {
 // overhaul, tracked in BENCH_geom.json.
 func BenchmarkLRSample(b *testing.B) {
 	db := smallService2(2000, 29)
-	svc := lbs.NewService(db, lbs.Options{K: 5})
-	agg := NewLRAggregator(svc, DefaultLROptions(1))
-	// Warm the history so the benchmark reflects steady state.
-	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(50)); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), []Aggregate{Count()}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(svc.QueryCount())/float64(agg.Stats().Samples), "queries/sample")
+	benchLRSteps(b, lbs.NewService(db, lbs.Options{K: 5}))
 }
 
 // BenchmarkLNRCellInference measures one rank-only sample (cell

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/geo"
@@ -34,17 +33,6 @@ func geodesicService2(n int, seed int64) *lbs.Database {
 func BenchmarkLRSampleGeodesic(b *testing.B) {
 	db := geodesicService2(2000, 29)
 	svc := lbs.NewService(db, lbs.Options{K: 5, Metric: geo.Haversine})
-	agg := NewLRAggregator(svc, DefaultLROptions(1))
-	// Warm the history so the benchmark reflects steady state.
-	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(50)); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), []Aggregate{Count()}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(svc.QueryCount())/float64(agg.Stats().Samples), "queries/sample")
+	benchLRSteps(b, svc)
 }

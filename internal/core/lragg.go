@@ -102,16 +102,30 @@ type LRStats struct {
 	MaxRoundsTripped int
 }
 
+// siteIndex is the observation store the LR devices consult. *History
+// is its implementation; the package tests substitute a whole-history
+// scan to pin that the grid index changes no result.
+type siteIndex interface {
+	Observe(id int64, loc geom.Point) bool
+	Len() int
+	InsertInto(c *cell.Complex, target geom.Point, excludeID int64) int
+	CountCloser(p, target geom.Point, excludeID int64, limit int) int
+}
+
 // LRAggregator implements Algorithm LR-LBS-AGG (Algorithm 5).
 type LRAggregator struct {
 	svc   Oracle
 	opts  LROptions
 	rng   *rand.Rand
 	smp   sampling.Sampler
-	hist  *History
+	hist  siteIndex
 	bound geom.Rect
 	stats LRStats
 	vtol  float64 // vertex quantization tolerance
+	// seeds are chooseH's history-seeded complexes, one per exploited
+	// tuple, reset and refilled every Step so their storage is reused
+	// (computeWeight continues on a WithK copy).
+	seeds []*cell.Complex
 }
 
 // NewLRAggregator builds an aggregator over an LR service view.
@@ -153,7 +167,7 @@ func NewLRAggregator(svc Oracle, opts LROptions) *LRAggregator {
 		opts:  opts,
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 		smp:   smp,
-		hist:  NewHistory(),
+		hist:  NewHistory(region),
 		bound: region,
 		stats: LRStats{AdaptiveHChosen: make(map[int]int)},
 		vtol:  region.Diagonal() * 1e-9,
@@ -162,9 +176,6 @@ func NewLRAggregator(svc Oracle, opts LROptions) *LRAggregator {
 
 // Stats returns run statistics accumulated so far.
 func (a *LRAggregator) Stats() LRStats { return a.stats }
-
-// History exposes the observed-tuple history (read-only use).
-func (a *LRAggregator) History() *History { return a.hist }
 
 // query issues one LR query through the configured filter. Answers
 // are re-sorted by distance from the query point: for distance-ranked
@@ -236,11 +247,18 @@ func (a *LRAggregator) massOfRegion(region *cell.Complex) float64 {
 // largest h ∈ [2, k] whose history-derived upper bound λ_h(t) is below
 // λ0, else 1; additionally it returns the history-seeded top-k complex
 // so the caller can continue from it without recomputation.
-func (a *LRAggregator) chooseH(tID int64, tLoc geom.Point) (int, *cell.Complex) {
+// The complex is the i-th of the aggregator's reusable seeds: it stays
+// valid until the next Step.
+func (a *LRAggregator) chooseH(i int, tID int64, tLoc geom.Point) (int, *cell.Complex) {
 	k := a.opts.UseK
 	var seed *cell.Complex
 	if a.opts.UseHistory && a.hist.Len() > 1 {
-		seed = cell.BuildFromSites(a.bound.Polygon(), k, tLoc, a.hist.Sites(tID))
+		if i == len(a.seeds) {
+			a.seeds = append(a.seeds, cell.New(a.bound.Polygon(), k))
+		}
+		seed = a.seeds[i]
+		seed.Reset()
+		a.hist.InsertInto(seed, tLoc, tID)
 	}
 	if a.opts.FixedH > 0 {
 		h := a.opts.FixedH
@@ -270,18 +288,18 @@ type cellContext struct {
 	tID    int64
 	tLoc   geom.Point
 	h      int
-	local  *History
+	local  *History      // this cell's sightings; nil when UseHistory is on
 	disks  []geom.Circle // disks C(v, |v−t|) at confirmed points v
 	region *cell.Complex
 }
 
-// countCloser counts observed tuples strictly closer to p than the
-// target, across global and per-cell history.
-func (a *LRAggregator) countCloser(cc *cellContext, p geom.Point) int {
+// known returns the observations a cell may use: the global history
+// if enabled, else the cell's own sightings.
+func (a *LRAggregator) known(cc *cellContext) siteIndex {
 	if a.opts.UseHistory {
-		return a.hist.CountCloser(p, cc.tLoc, cc.tID)
+		return a.hist
 	}
-	return cc.local.CountCloser(p, cc.tLoc, cc.tID)
+	return cc.local
 }
 
 // canSkip reports whether p provably lies inside the top-h cell
@@ -302,7 +320,7 @@ func (a *LRAggregator) canSkip(cc *cellContext, p geom.Point) bool {
 		a.opts.LowerBoundSamples, margin) {
 		return false
 	}
-	return a.countCloser(cc, p) <= cc.h-1
+	return a.known(cc).CountCloser(p, cc.tLoc, cc.tID, cc.h-1) <= cc.h-1
 }
 
 // computeWeight computes 1/p̂(t) for tuple t using its top-h Voronoi
@@ -311,15 +329,11 @@ func (a *LRAggregator) canSkip(cc *cellContext, p geom.Point) bool {
 // history-derived top-k complex from chooseH (may be nil).
 func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.Point, h int, hint []lbs.LRRecord, seed *cell.Complex) (float64, error) {
 	a.stats.Cells++
-	cc := &cellContext{
-		tID:   tID,
-		tLoc:  tLoc,
-		h:     h,
-		local: NewHistory(),
-	}
-	// Seed the local history from the discovering answer.
-	for _, r := range hint {
-		cc.local.Observe(r.ID, r.Loc)
+	cc := &cellContext{tID: tID, tLoc: tLoc, h: h}
+	if !a.opts.UseHistory {
+		// Seed the local history from the discovering answer.
+		cc.local = NewHistory(a.bound)
+		a.observe(hint, cc.local)
 	}
 	boundPoly := a.bound.Polygon()
 	if seed != nil {
@@ -331,7 +345,7 @@ func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.P
 
 	// Faster initialization (§3.2.1) when the region is still huge.
 	if a.opts.FastInit && cc.region.Area() > 0.25*a.bound.Area() {
-		if err := a.fastInit(ctx, cc); err != nil {
+		if err := a.fastInit(ctx, cc, hint); err != nil {
 			return 0, err
 		}
 	}
@@ -394,8 +408,8 @@ func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.P
 // was too small (no real tuple discovered), the region reverts to the
 // full bounding box — at a waste of at most the initialization
 // queries, exactly as the paper argues.
-func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext) error {
-	r := a.fastInitRadius(cc)
+func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext, hint []lbs.LRRecord) error {
+	r := a.fastInitRadius(cc, hint)
 	fake := [4]geom.Point{
 		cc.tLoc.Add(geom.Pt(2*r, 0)),
 		cc.tLoc.Add(geom.Pt(-2*r, 0)),
@@ -405,7 +419,7 @@ func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext) error {
 	tmp := cell.New(a.bound.Polygon(), cc.h)
 	// Real cuts already known (history / hint) keep the fake region
 	// honest; then the fake cuts shrink it to a box around t.
-	cell.InsertSites(tmp, cc.tLoc, a.knownSites(cc))
+	a.known(cc).InsertInto(tmp, cc.tLoc, cc.tID)
 	for i, f := range fake {
 		tmp.AddCut(cell.Cut{Line: geom.Bisector(cc.tLoc, f), Key: int64(-1 - i)})
 	}
@@ -422,27 +436,18 @@ func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext) error {
 	}
 	// Rebuild from real tuples only.
 	region := cell.New(a.bound.Polygon(), cc.h)
-	cell.InsertSites(region, cc.tLoc, a.knownSites(cc))
+	a.known(cc).InsertInto(region, cc.tLoc, cc.tID)
 	cc.region = region
 	return nil
-}
-
-// knownSites returns every observed tuple (global history if enabled,
-// else the cell-local history) as sites, excluding the target.
-func (a *LRAggregator) knownSites(cc *cellContext) []cell.Site {
-	if a.opts.UseHistory {
-		return a.hist.Sites(cc.tID)
-	}
-	return cc.local.Sites(cc.tID)
 }
 
 // fastInitRadius chooses the fake-box scale from the discovering
 // answer: FastInitFactor × the spread of the answer around the target,
 // falling back to a twentieth of the bounding diagonal.
-func (a *LRAggregator) fastInitRadius(cc *cellContext) float64 {
+func (a *LRAggregator) fastInitRadius(cc *cellContext, hint []lbs.LRRecord) float64 {
 	var m float64
-	for _, s := range cc.local.Sites(cc.tID) {
-		if d := s.Loc.Dist(cc.tLoc); d > m {
+	for _, r := range hint {
+		if d := r.Loc.Dist(cc.tLoc); r.ID != cc.tID && d > m {
 			m = d
 		}
 	}
@@ -556,7 +561,7 @@ func (a *LRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, e
 	hs := make([]int, kUse)
 	seeds := make([]*cell.Complex, kUse)
 	for i := 0; i < kUse; i++ {
-		hs[i], seeds[i] = a.chooseH(recs[i].ID, recs[i].Loc)
+		hs[i], seeds[i] = a.chooseH(i, recs[i].ID, recs[i].Loc)
 	}
 	a.observe(recs, nil)
 	for i := 0; i < kUse; i++ {

@@ -99,7 +99,7 @@ func TestCountBiasBoundProperties(t *testing.T) {
 // TestHistoryProperties property-checks the observation store.
 func TestHistoryProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	h := NewHistory()
+	h := NewHistory(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)))
 	locs := map[int64]geom.Point{}
 	for i := 0; i < 500; i++ {
 		id := int64(rng.Intn(100))
@@ -120,19 +120,6 @@ func TestHistoryProperties(t *testing.T) {
 	if h.Len() != len(locs) {
 		t.Fatalf("len %d vs %d", h.Len(), len(locs))
 	}
-	// Sites excludes exactly the requested tuple.
-	for id := range locs {
-		sites := h.Sites(id)
-		if len(sites) != len(locs)-1 {
-			t.Fatalf("sites length with exclusion: %d", len(sites))
-		}
-		for _, s := range sites {
-			if s.Key == id {
-				t.Fatalf("excluded id present")
-			}
-		}
-		break
-	}
 	// CountCloser agrees with direct computation.
 	target := geom.Pt(5, 5)
 	for trial := 0; trial < 50; trial++ {
@@ -146,7 +133,7 @@ func TestHistoryProperties(t *testing.T) {
 				want++
 			}
 		}
-		if got := h.CountCloser(p, target, 7); got != want {
+		if got := h.CountCloser(p, target, 7, len(locs)); got != want {
 			t.Fatalf("CountCloser %d vs %d", got, want)
 		}
 	}
