@@ -51,11 +51,12 @@ bench-geom:
 
 # bench-geo-geodesic runs the geodesic twins once (kd-tree Haversine
 # traversal, the geodesic oracle hot path, one geodesic LR estimator
-# sample) — the CI smoke that keeps the Haversine path compiling and
-# answering. The names also match GEOM_BENCH prefixes, so bench-json
-# records them next to their Euclidean baselines.
+# sample, a geodesic read over a dirty live overlay) — the CI smoke
+# that keeps the Haversine path compiling and answering. The names
+# also match GEOM_BENCH prefixes, so bench-json records them next to
+# their Euclidean baselines.
 bench-geo-geodesic:
-	$(GO) test -run '^$$' -bench 'Geodesic' -benchtime 1x ./internal/kdtree ./internal/lbs ./internal/core
+	$(GO) test -run '^$$' -bench 'Geodesic' -benchtime 1x ./internal/kdtree ./internal/lbs ./internal/core ./internal/live
 
 # bench-json runs the geometry suite and records it in BENCH_geom.json
 # (ns/op, B/op, allocs/op, custom metrics like queries/sample and q/s).

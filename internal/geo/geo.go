@@ -130,16 +130,110 @@ func NewHaversineQuery(q geom.Point) HaversineQuery {
 // factor of the longitude pruning bound).
 func (h HaversineQuery) CosLat() float64 { return h.cosPhi }
 
-// Dist returns the great-circle distance from the query to b, in km.
+// Dist returns the great-circle distance from the query to b, in km:
+// exactly HavDist(h.Hav(b)).
 func (h HaversineQuery) Dist(b geom.Point) float64 {
-	phi2 := clampLat(b.Y) * degToRad
-	sp := math.Sin((phi2 - h.phi) / 2)
-	sl := math.Sin((b.X*degToRad - h.lam) / 2)
+	return HavDist(h.Hav(b))
+}
+
+// Hav returns the haversine of the central angle between the query
+// and b, hav θ = sin²(Δφ/2) + cos φ₁·cos φ₂·sin²(Δλ/2), clamped to
+// at most 1. It is the part of Dist that search loops must pay per
+// candidate; HavDist (asin and sqrt) is only needed for candidates
+// that survive a HavBound comparison.
+func (h HaversineQuery) Hav(b geom.Point) float64 {
+	phi2, x, y := h.halfDiffs(b)
+	return h.hav(phi2, x, y)
+}
+
+// halfDiffs returns b's clamped latitude φ₂ and the half-angle
+// differences x = (φ₂ − φ_q)/2 and y = (λ₂ − λ_q)/2, in radians.
+func (h HaversineQuery) halfDiffs(b geom.Point) (phi2, x, y float64) {
+	phi2 = clampLat(b.Y) * degToRad
+	return phi2, (phi2 - h.phi) / 2, (b.X*degToRad - h.lam) / 2
+}
+
+// hav is the canonical haversine expression over halfDiffs.
+func (h HaversineQuery) hav(phi2, x, y float64) float64 {
+	sp := math.Sin(x)
+	sl := math.Sin(y)
 	hav := sp*sp + h.cosPhi*math.Cos(phi2)*(sl*sl)
 	if hav > 1 {
 		hav = 1
 	}
+	return hav
+}
+
+// HavWithin is Hav for search loops with a rejection threshold
+// thr ≥ 0: it returns (Hav(b), true), bit for bit, when Hav(b) ≤ thr,
+// and false whenever Hav(b) > thr (the first result is then
+// unspecified).
+//
+// It first compares a trig-free lower bound of the haversine, built
+// on the same arguments, against thr widened by havLBMargin. With
+// x = Δφ/2, y = Δλ/2 and the point's latitude φ,
+//
+//	hav = sin²x + cos φ_q·cos φ·sin²y ≥ (|x| − |x|³/6)² + cos φ_q·(1 − φ²/2)·(|y| − |y|³/6)²,
+//
+// because sin s ≥ s − s³/6 ≥ 0 for 0 ≤ s ≤ √6 (|x| ≤ π/2 for clamped
+// latitudes; the y term is used for |y| < 1.5 only) and
+// cos φ ≥ 1 − φ²/2. The y term is also used only where
+// 1 − φ²/2 > 1/4 (|φ| below about 70°), so no step of the polynomial
+// cancels and it is accurate to about 1e-14 relative, while the
+// canonical haversine sums non-negative terms to within a few ulps. A
+// bound above thr·(1+havLBMargin) therefore proves the haversine is
+// above thr, and the node is rejected without a sin or cos.
+func (h HaversineQuery) HavWithin(b geom.Point, thr float64) (float64, bool) {
+	phi2, x, y := h.halfDiffs(b)
+	a := math.Abs(x)
+	lx := a - a*a*a/6
+	lb := lx * lx
+	if c := math.Abs(y); c < 1.5 {
+		if cl := 1 - phi2*phi2/2; cl > 0.25 {
+			ly := c - c*c*c/6
+			lb += h.cosPhi * cl * (ly * ly)
+		}
+	}
+	if lb > thr*(1+havLBMargin) {
+		return 0, false
+	}
+	hav := h.hav(phi2, x, y)
+	return hav, hav <= thr
+}
+
+// havLBMargin is HavWithin's relative slack between its polynomial
+// lower bound and the threshold: a thousand times the bound's own
+// rounding error.
+const havLBMargin = 1e-12
+
+// HavDist converts a haversine (see Hav) to km: 2R·asin(√hav).
+func HavDist(hav float64) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(hav))
+}
+
+// havMargin is HavBound's relative slack. Every floating-point step
+// between a haversine and its distance (sin², sqrt, asin, the final
+// scaling) is accurate to a few ulps, about 1e-15 relative, while the
+// margin moves the threshold by 1e-9 relative — six orders of
+// magnitude more than any rounding can take back.
+const havMargin = 1e-9
+
+// HavBound returns a haversine threshold for the distance d: every
+// hav > HavBound(d) has HavDist(hav) > d, strictly and as computed in
+// floating point. It is sin²(d/2R) — the exact inverse of HavDist —
+// widened by havMargin, plus 1e-300 so that d = 0 and distances whose
+// square would underflow keep a threshold of full precision. Search
+// loops compare a candidate's Hav against it and skip the asin/sqrt
+// of every candidate that is provably farther than d; a haversine
+// at or below the threshold (every exact tie with d included) takes
+// the exact path. Beyond half the circumference (and for NaN) it is
+// +Inf: nothing is rejected.
+func HavBound(d float64) float64 {
+	if !(d < math.Pi*EarthRadiusKm) {
+		return math.Inf(1)
+	}
+	s := math.Sin(d / (2 * EarthRadiusKm))
+	return s*s*(1+havMargin) + 1e-300
 }
 
 // HaversineDist is the great-circle distance between two (lon°, lat°)

@@ -182,6 +182,72 @@ func TestHaversineLowerBounds(t *testing.T) {
 	}
 }
 
+// TestHavDomainProperties pins the haversine-domain split of the
+// canonical Haversine evaluation that search loops prune with:
+//   - Dist == HavDist(Hav) bit for bit, HavWithin agrees with Hav and
+//     with the threshold comparison (thresholds within 1e-13 of the
+//     haversine included, where its polynomial pre-check must not
+//     fire), and no exact distance is ever above its own bound (ties
+//     are never rejected);
+//   - hav > HavBound(d) ⇒ HavDist(hav) > d for d = 0, for tiny d,
+//     for random d in (0, πR) over twelve decades, and for d near
+//     antipodal, probing the haversines just above the bound.
+func TestHavDomainProperties(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	// Out-of-range latitudes exercise the clamping path.
+	pts := samplePoints(r, geom.NewRect(geom.Pt(-200, -100), geom.Pt(200, 100)), 150)
+	pts = append(pts, pts[0], geom.Pt(pts[1].X+180, -pts[1].Y)) // a duplicate and an antipode
+	// Near neighbors at every scale from 1e-7° to 1°, where the
+	// polynomial bound of HavWithin is tightest.
+	for i := 0; i < 40; i++ {
+		scale := math.Pow(10, -7*r.Float64())
+		pts = append(pts, geom.Pt(pts[i].X+scale*r.NormFloat64(), pts[i].Y+scale*r.NormFloat64()))
+	}
+	for _, q := range pts {
+		hq := NewHaversineQuery(q)
+		for _, p := range pts {
+			hav, d := hq.Hav(p), hq.Dist(p)
+			if d != HavDist(hav) || d != HaversineDist(q, p) {
+				t.Fatalf("q=%v p=%v: Dist %v, HavDist(Hav) %v, HaversineDist %v", q, p, d, HavDist(hav), HaversineDist(q, p))
+			}
+			if hav > HavBound(d) {
+				t.Fatalf("q=%v p=%v: hav %v above HavBound of its own distance %v", q, p, hav, HavBound(d))
+			}
+			for _, thr := range []float64{hav, math.Nextafter(hav, -1), hav * (1 - 1e-13), hav * (1 + 1e-13),
+				HavBound(d), hav / 2, 0, 1, math.Inf(1)} {
+				got, ok := hq.HavWithin(p, thr)
+				if ok != (hav <= thr) || (ok && got != hav) {
+					t.Fatalf("q=%v p=%v thr=%v: HavWithin (%v, %v), Hav %v", q, p, thr, got, ok, hav)
+				}
+			}
+		}
+	}
+	piR := math.Pi * EarthRadiusKm
+	ds := []float64{0, 5e-324, 1e-300, 1e-160, 1e-12, 1e-6,
+		piR * (1 - 1e-6), piR * (1 - 1e-9), piR * (1 - 1e-12), math.Nextafter(piR, 0)}
+	for i := 0; i < 20000; i++ {
+		ds = append(ds, piR*math.Pow(10, -12*r.Float64()), piR*r.Float64())
+	}
+	for _, d := range ds {
+		thr := HavBound(d)
+		if thr >= 1 {
+			continue // no haversine exceeds it
+		}
+		for _, h := range []float64{math.Nextafter(thr, 2), thr * (1 + 1e-12), thr + (1-thr)*r.Float64(), 1} {
+			if h > thr && h <= 1 && !(HavDist(h) > d) {
+				t.Fatalf("d=%v: hav %v > HavBound %v but HavDist %v ≤ d", d, h, thr, HavDist(h))
+			}
+		}
+	}
+	// The bound stays tight enough to prune: within 2e-9 of sin²(d/2R).
+	for _, d := range []float64{1, 150, 5000} {
+		s := math.Sin(d / (2 * EarthRadiusKm))
+		if rel := HavBound(d)/(s*s) - 1; rel > 2e-9 {
+			t.Fatalf("HavBound(%v) is %v above sin²(d/2R)", d, rel)
+		}
+	}
+}
+
 // TestRectMinDist verifies conservativeness for both metrics: the
 // bound never exceeds the distance to any sampled point inside the
 // rectangle, and Euclidean matches the historical clamp expression

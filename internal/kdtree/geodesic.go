@@ -18,6 +18,28 @@
 // against brute force in geodesic_test.go. The Euclidean entry points
 // in kdtree.go are deliberately untouched — metric dispatch happens
 // here, and Euclidean callers keep their bit-identical fast path.
+//
+// # Haversine-domain node rejection
+//
+// A visited node pays at most the haversine hav (three trig calls);
+// the asin and sqrt that turn it into km (geo.HavDist) run only when
+// hav ≤ geo.HavBound(D), where D is the current admission distance:
+// the heap top's distance once the heap holds k entries, maxDist while
+// it fills. geo.HaversineQuery.HavWithin makes the comparison and
+// rejects most far nodes on a trig-free lower bound of hav before
+// computing it.
+//
+// The rejection is strict. HavBound guarantees
+// hav > HavBound(D) ⇒ HavDist(hav) > D in floating point, so a
+// rejected node's canonical distance d = HavDist(hav) satisfies d > D:
+// it could neither pass d ≤ maxDist nor displace the heap top, which
+// needs d < D, or d = D with a smaller index. Every node at exactly D
+// — an equal-distance tie — lies at or under the threshold and takes
+// the exact path. A pending subtree is skipped only when its lune
+// bound exceeds D strictly. So results, distances and (Dist, Index)
+// tie order are exactly those of a brute-force scan. The filter, too,
+// runs only for nodes that can enter the heap; filters are pure
+// predicates, so skipping the others changes nothing.
 package kdtree
 
 import (
@@ -67,7 +89,7 @@ func (t *Tree) WithinRadiusMetricUnordered(m geo.Metric, q geom.Point, r float64
 	}
 	hq := geo.NewHaversineQuery(q)
 	cosFloor := geo.CosLatFloor(-t.maxAbsY, t.maxAbsY)
-	t.withinGeo(0, q, hq, r, cosFloor, filter, &out)
+	t.withinGeo(0, q, hq, r, geo.HavBound(r), cosFloor, filter, &out)
 	return out
 }
 
@@ -94,7 +116,8 @@ func (t *Tree) farBoundGeo(n *node, p geom.Point, q geom.Point, hq geo.Haversine
 
 // knnGeodesicInto mirrors KNNWithinInto's iterative best-first
 // traversal with Haversine distances and lune lower bounds in the
-// pending-subtree frames. Same buffer contract, same (Dist, Index)
+// pending-subtree frames, rejecting nodes in the haversine domain
+// (see the package comment). Same buffer contract, same (Dist, Index)
 // result order.
 func (t *Tree) knnGeodesicInto(q geom.Point, k int, maxDist float64, filter func(int) bool, buf []Neighbor) []Neighbor {
 	h := buf[:0]
@@ -103,6 +126,9 @@ func (t *Tree) knnGeodesicInto(q geom.Point, k int, maxDist float64, filter func
 	}
 	hq := geo.NewHaversineQuery(q)
 	cosFloor := geo.CosLatFloor(-t.maxAbsY, t.maxAbsY)
+	// thr is geo.HavBound of the admission distance: maxDist while the
+	// heap fills, the heap top's distance once it is full.
+	thr := geo.HavBound(maxDist)
 	type frame struct {
 		off int32
 		lb  float64
@@ -114,15 +140,20 @@ func (t *Tree) knnGeodesicInto(q geom.Point, k int, maxDist float64, filter func
 		for off >= 0 {
 			n := &t.nodes[off]
 			p := t.pts[n.idx]
-			d := hq.Dist(p)
-			if d <= maxDist && (filter == nil || filter(n.idx)) {
-				nb := Neighbor{Index: n.idx, Dist: d}
-				if len(h) < k {
-					h = append(h, nb)
-					siftUpNb(h, len(h)-1)
-				} else if nbWorse(h[0], nb) {
-					h[0] = nb
-					siftDownNb(h, 0)
+			if hav, ok := hq.HavWithin(p, thr); ok {
+				nb := Neighbor{Index: n.idx, Dist: geo.HavDist(hav)}
+				full := len(h) == k
+				if nb.Dist <= maxDist && (!full || nbWorse(h[0], nb)) && (filter == nil || filter(n.idx)) {
+					if full {
+						h[0] = nb
+						siftDownNb(h, 0)
+					} else {
+						h = append(h, nb)
+						siftUpNb(h, len(h)-1)
+					}
+					if len(h) == k {
+						thr = geo.HavBound(h[0].Dist)
+					}
 				}
 			}
 			near, far, lb := t.farBoundGeo(n, p, q, hq, cosFloor)
@@ -139,7 +170,9 @@ func (t *Tree) knnGeodesicInto(q geom.Point, k int, maxDist float64, filter func
 			if fr.lb > maxDist {
 				continue
 			}
-			if len(h) == k && fr.lb >= h[0].Dist {
+			// Strict: a subtree whose bound equals the heap top may
+			// still hold a tie with a smaller index.
+			if len(h) == k && fr.lb > h[0].Dist {
 				continue
 			}
 			off = fr.off
@@ -158,19 +191,22 @@ func (t *Tree) knnGeodesicInto(q geom.Point, k int, maxDist float64, filter func
 
 // withinGeo is the geodesic analogue of within: descend the near side
 // unconditionally and the far side only when its lune lower bound
-// stays within r.
-func (t *Tree) withinGeo(off int32, q geom.Point, hq geo.HaversineQuery, r, cosFloor float64, filter func(int) bool, out *[]Neighbor) {
+// stays within r. thr = geo.HavBound(r) rejects nodes in the
+// haversine domain, as in knnGeodesicInto.
+func (t *Tree) withinGeo(off int32, q geom.Point, hq geo.HaversineQuery, r, thr, cosFloor float64, filter func(int) bool, out *[]Neighbor) {
 	if off < 0 {
 		return
 	}
 	n := &t.nodes[off]
 	p := t.pts[n.idx]
-	if d := hq.Dist(p); d <= r && (filter == nil || filter(n.idx)) {
-		*out = append(*out, Neighbor{Index: n.idx, Dist: d})
+	if hav, ok := hq.HavWithin(p, thr); ok {
+		if d := geo.HavDist(hav); d <= r && (filter == nil || filter(n.idx)) {
+			*out = append(*out, Neighbor{Index: n.idx, Dist: d})
+		}
 	}
 	near, far, lb := t.farBoundGeo(n, p, q, hq, cosFloor)
-	t.withinGeo(near, q, hq, r, cosFloor, filter, out)
+	t.withinGeo(near, q, hq, r, thr, cosFloor, filter, out)
 	if lb <= r {
-		t.withinGeo(far, q, hq, r, cosFloor, filter, out)
+		t.withinGeo(far, q, hq, r, thr, cosFloor, filter, out)
 	}
 }

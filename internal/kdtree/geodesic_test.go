@@ -57,10 +57,20 @@ func bruteGeoKNN(pts []geom.Point, q geom.Point, k int, maxDist float64, filter 
 // identical indices and bit-identical distances, across k values,
 // radius caps, filters and query positions (including far outside the
 // data window, across the antimeridian, and at out-of-range
-// latitudes).
+// latitudes). The boundary cases of the haversine-domain rejection
+// ride along: exact distance ties (duplicated points, queried at their
+// location and elsewhere), maxDist equal to a point's exact distance,
+// k larger than the tree, and a filter that rejects the nearest point.
 func TestKNNGeodesicExact(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	pts := geoPoints(r, 3000)
+	// Exact ties: 200 points appear twice, 50 of them three times.
+	for i := 0; i < 200; i++ {
+		pts = append(pts, pts[i*7])
+		if i < 50 {
+			pts = append(pts, pts[i*7])
+		}
+	}
 	tree := Build(pts)
 	queries := make([]geom.Point, 0, 120)
 	for i := 0; i < 100; i++ {
@@ -74,6 +84,10 @@ func TestKNNGeodesicExact(t *testing.T) {
 		geom.Pt(-95, 95), geom.Pt(-95, -120), // out-of-range latitude
 		geom.Pt(265, 37), // same meridian as -95, wrapped
 	)
+	// Queries at duplicated points: k smaller than the tie run.
+	for i := 0; i < 10; i++ {
+		queries = append(queries, pts[i*7])
+	}
 	filter := func(i int) bool { return i%3 != 0 }
 	for qi, q := range queries {
 		for _, k := range []int{1, 5, 32} {
@@ -85,6 +99,35 @@ func TestKNNGeodesicExact(t *testing.T) {
 				want = bruteGeoKNN(pts, q, k, maxDist, filter)
 				compareNeighbors(t, "knn+filter", qi, q, got, want)
 			}
+		}
+		// maxDist exactly at a point's distance admits that point (and
+		// every point tied with it).
+		for _, j := range []int{qi, qi * 13, 7 * (qi % 200)} {
+			maxDist := geo.HaversineDist(q, pts[j%len(pts)])
+			for _, k := range []int{1, 5, 32} {
+				got := tree.KNNWithinMetricInto(geo.Haversine, q, k, maxDist, nil, nil)
+				want := bruteGeoKNN(pts, q, k, maxDist, nil)
+				compareNeighbors(t, "knn@maxDist", qi, q, got, want)
+			}
+		}
+		// A filter that rejects the nearest point (and its twins when
+		// it is duplicated).
+		nearest := bruteGeoKNN(pts, q, 1, math.Inf(1), nil)[0]
+		notNearest := func(i int) bool { return pts[i] != pts[nearest.Index] }
+		for _, k := range []int{1, 5} {
+			got := tree.KNNWithinMetricInto(geo.Haversine, q, k, math.Inf(1), notNearest, nil)
+			want := bruteGeoKNN(pts, q, k, math.Inf(1), notNearest)
+			compareNeighbors(t, "knn-nearest", qi, q, got, want)
+		}
+	}
+	// k larger than the tree returns every point in order.
+	small := pts[:20]
+	smallTree := Build(small)
+	for qi, q := range queries[:20] {
+		for _, maxDist := range []float64{math.Inf(1), 500} {
+			got := smallTree.KNNWithinMetricInto(geo.Haversine, q, 50, maxDist, nil, nil)
+			want := bruteGeoKNN(small, q, 50, maxDist, nil)
+			compareNeighbors(t, "knn k>n", qi, q, got, want)
 		}
 	}
 }

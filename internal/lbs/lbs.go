@@ -322,6 +322,14 @@ func (db *Database) ByID(id int64) (*Tuple, bool) {
 	return &db.tuples[i], true
 }
 
+// IndexOf returns the internal index of the tuple with the given
+// public ID — the index Tuple and EffectiveLoc take and index-level
+// exclusions (Service.QueryRanked) test.
+func (db *Database) IndexOf(id int64) (int, bool) {
+	i, ok := db.byID[id]
+	return i, ok
+}
+
 // EffectiveLoc returns the ranking location of the i-th tuple
 // (ground-truth access for evaluation).
 func (db *Database) EffectiveLoc(i int) geom.Point { return db.effective[i] }
@@ -524,7 +532,7 @@ type Service struct {
 // queryScratch is the reusable working set of one ranked search.
 type queryScratch struct {
 	nbs    []kdtree.Neighbor
-	idxs   []int
+	ranked []kdtree.Neighbor
 	scored promSorter
 }
 
@@ -539,7 +547,7 @@ func (s *Service) putScratch(sc *queryScratch) { s.scratch.Put(sc) }
 
 // promScored is one prominence-reranked candidate.
 type promScored struct {
-	idx   int
+	nb    kdtree.Neighbor
 	id    int64
 	score float64
 }
@@ -721,14 +729,15 @@ func (s *Service) sortRunByID(run []kdtree.Neighbor) {
 }
 
 // rawQueryInto runs the ranked search shared by both views, writing
-// through the pooled scratch. It returns tuple indices in rank order;
-// the slice aliases sc.idxs and is valid until the scratch is reused.
+// through the pooled scratch. It returns the selected tuples in rank
+// order, each with its distance from q; the slice aliases the scratch
+// and is valid until the scratch is reused.
 //
 // Ordering contract: distance rank orders by (dist, ID); prominence
 // rank orders its distance-candidate set (the K×overfetch nearest
 // under the same (dist, ID) selection) by (score, ID). Both are
 // properties of the data alone — see rankCandidates.
-func (s *Service) rawQueryInto(sc *queryScratch, q geom.Point, filter Filter) []int {
+func (s *Service) rawQueryInto(sc *queryScratch, q geom.Point, filter Filter) []kdtree.Neighbor {
 	kf := func(i int) bool {
 		return filter == nil || filter(&s.db.tuples[i])
 	}
@@ -739,39 +748,31 @@ func (s *Service) rawQueryInto(sc *queryScratch, q geom.Point, filter Filter) []
 	if s.opts.MaxRadius > 0 {
 		maxDist = s.opts.MaxRadius
 	}
-	switch s.opts.Rank {
-	case RankByProminence:
-		cand := s.rankCandidates(sc, q, s.opts.K*s.opts.ProminenceOverfetch, kf, maxDist)
-		scored := sc.scored[:0]
-		for _, nb := range cand {
-			t := &s.db.tuples[nb.Index]
-			scored = append(scored, promScored{
-				idx:   nb.Index,
-				id:    t.ID,
-				score: nb.Dist - s.opts.ProminenceWeight*t.Attr(s.opts.ProminenceAttr),
-			})
-		}
-		sc.scored = scored
-		sort.Sort(&sc.scored)
-		n := len(scored)
-		if n > s.opts.K {
-			n = s.opts.K
-		}
-		out := sc.idxs[:0]
-		for i := 0; i < n; i++ {
-			out = append(out, scored[i].idx)
-		}
-		sc.idxs = out
-		return out
-	default:
-		nbs := s.rankCandidates(sc, q, s.opts.K, kf, maxDist)
-		out := sc.idxs[:0]
-		for _, nb := range nbs {
-			out = append(out, nb.Index)
-		}
-		sc.idxs = out
-		return out
+	if s.opts.Rank != RankByProminence {
+		return s.rankCandidates(sc, q, s.opts.K, kf, maxDist)
 	}
+	cand := s.rankCandidates(sc, q, s.opts.K*s.opts.ProminenceOverfetch, kf, maxDist)
+	scored := sc.scored[:0]
+	for _, nb := range cand {
+		t := &s.db.tuples[nb.Index]
+		scored = append(scored, promScored{
+			nb:    nb,
+			id:    t.ID,
+			score: nb.Dist - s.opts.ProminenceWeight*t.Attr(s.opts.ProminenceAttr),
+		})
+	}
+	sc.scored = scored
+	sort.Sort(&sc.scored)
+	n := len(scored)
+	if n > s.opts.K {
+		n = s.opts.K
+	}
+	out := sc.ranked[:0]
+	for i := 0; i < n; i++ {
+		out = append(out, scored[i].nb)
+	}
+	sc.ranked = out
+	return out
 }
 
 // LRRecord is one result row of the location-returned interface.
@@ -807,37 +808,66 @@ func (s *Service) answerLR(q geom.Point, filter Filter) []LRRecord {
 	return out
 }
 
-// wireDist is the distance reported in LRRecord.Dist. Euclidean stays
-// the historical geom.Point.Dist (math.Hypot — which differs from the
-// internal Sqrt(Dist2) rank key in the last ulp, a wire-format
-// contract pinned by the store round-trip tests); Haversine reports
-// great-circle kilometers, the same value the ranking used.
-func (o *Options) wireDist(q, loc geom.Point) float64 {
+// wireDist is the distance reported in LRRecord.Dist for a tuple the
+// search ranked at rankDist. Euclidean stays the historical
+// geom.Point.Dist (math.Hypot — which differs from the internal
+// Sqrt(Dist2) rank key in the last ulp, a wire-format contract pinned
+// by the store round-trip tests); Haversine reports great-circle
+// kilometers, which the k-d tree computed with the canonical
+// expression (geo.HaversineQuery.Dist), so the rank distance is
+// reused as is.
+func (o *Options) wireDist(q, loc geom.Point, rankDist float64) float64 {
 	if o.Metric == geo.Haversine {
-		return geo.HaversineDist(q, loc)
+		return rankDist
 	}
 	return q.Dist(loc)
+}
+
+// record builds the LR answer row of the tuple a search ranked at nb.
+func (s *Service) record(q geom.Point, nb kdtree.Neighbor) LRRecord {
+	t := &s.db.tuples[nb.Index]
+	loc := s.db.effective[nb.Index]
+	return LRRecord{
+		ID:       t.ID,
+		Loc:      loc,
+		Dist:     s.opts.wireDist(q, loc, nb.Dist),
+		Name:     t.Name,
+		Category: t.Category,
+		Attrs:    t.Attrs,
+		Tags:     t.Tags,
+	}
 }
 
 // answerLRWith is answerLR over an explicit scratch (batch callers
 // hold one scratch across the whole batch). Only the returned records
 // are freshly allocated.
 func (s *Service) answerLRWith(sc *queryScratch, q geom.Point, filter Filter) []LRRecord {
-	idxs := s.rawQueryInto(sc, q, filter)
-	out := make([]LRRecord, len(idxs))
-	for i, idx := range idxs {
-		t := &s.db.tuples[idx]
-		loc := s.db.effective[idx]
-		out[i] = LRRecord{
-			ID:       t.ID,
-			Loc:      loc,
-			Dist:     s.opts.wireDist(q, loc),
-			Name:     t.Name,
-			Category: t.Category,
-			Attrs:    t.Attrs,
-			Tags:     t.Tags,
-		}
+	nbs := s.rawQueryInto(sc, q, filter)
+	out := make([]LRRecord, len(nbs))
+	for i, nb := range nbs {
+		out[i] = s.record(q, nb)
 	}
+	return out
+}
+
+// QueryRanked is the unmetered candidate query of a composite front
+// (the live overlay): the (dist, ID)-ranked prefix of up to K tuples
+// within maxDist of q — and within MaxRadius, when set — whose indices
+// keep accepts (see Database.IndexOf and Database.Tuple; nil keeps
+// every tuple). The selection ignores Rank: callers merge candidate
+// lists with MergeCandidates, which applies the logical selection.
+// Each candidate carries the distance the search ranked it by.
+func (s *Service) QueryRanked(q geom.Point, keep func(int) bool, maxDist float64) []Ranked {
+	if s.opts.MaxRadius > 0 && s.opts.MaxRadius < maxDist {
+		maxDist = s.opts.MaxRadius
+	}
+	sc := s.getScratch()
+	nbs := s.rankCandidates(sc, q, s.opts.K, keep, maxDist)
+	out := make([]Ranked, len(nbs))
+	for i, nb := range nbs {
+		out[i] = Ranked{Rec: s.record(q, nb), Dist: nb.Dist}
+	}
+	s.putScratch(sc)
 	return out
 }
 
@@ -891,10 +921,10 @@ func (s *Service) answerLNR(q geom.Point, filter Filter) []LNRRecord {
 
 // answerLNRWith is answerLNR over an explicit scratch.
 func (s *Service) answerLNRWith(sc *queryScratch, q geom.Point, filter Filter) []LNRRecord {
-	idxs := s.rawQueryInto(sc, q, filter)
-	out := make([]LNRRecord, len(idxs))
-	for i, idx := range idxs {
-		t := &s.db.tuples[idx]
+	nbs := s.rawQueryInto(sc, q, filter)
+	out := make([]LNRRecord, len(nbs))
+	for i, nb := range nbs {
+		t := &s.db.tuples[nb.Index]
 		out[i] = LNRRecord{
 			ID:       t.ID,
 			Name:     t.Name,

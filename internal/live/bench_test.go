@@ -95,6 +95,48 @@ func BenchmarkLiveQueryLRChurn1(b *testing.B) { benchChurn(b, 10) }
 // BenchmarkLiveQueryLRChurn10: 10% of queries interleave one mutation.
 func BenchmarkLiveQueryLRChurn10(b *testing.B) { benchChurn(b, 100) }
 
+// BenchmarkLiveQueryLRGeodesic measures the dirty-overlay read path
+// in the shape of a geodesic deployment: Haversine POIs over the US,
+// K = 10, a 150 km coverage radius, and a fixed overlay of about 700
+// entries (inserts + tombstones — the mean overlay of a live database
+// compacting at the default threshold under steady churn). Reads hit
+// points jittered around tuple locations. Nothing is written in the
+// timed loop, so the per-op cost does not depend on b.N.
+func BenchmarkLiveQueryLRGeodesic(b *testing.B) {
+	sc := workload.GeoUS(benchN, 7, workload.DensityGauss)
+	opts := lbs.Options{K: 10, Metric: sc.Metric, MaxRadius: 150}
+	d, err := live.New(sc.DB, opts, live.Options{CompactThreshold: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	ops := churn.Ops(sc.DB, churn.Config{Seed: 11}, 4000)
+	for len(ops) > 0 {
+		if st := d.Stats(); st.DeltaLen+st.Tombstones >= 700 {
+			break
+		}
+		for _, r := range d.Apply(ctx, ops[:16]) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+		ops = ops[16:]
+	}
+	rng := rand.New(rand.NewSource(3))
+	pts := make([]geom.Point, 4096)
+	for i := range pts {
+		p := sc.DB.EffectiveLoc(rng.Intn(sc.DB.Len()))
+		pts[i] = geom.Pt(p.X+rng.NormFloat64()*0.05, p.Y+rng.NormFloat64()*0.05)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.QueryLR(ctx, pts[i%len(pts)], nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLiveApply measures raw mutation throughput: one
 // insert+delete pair per iteration (the overlay returns to clean each
 // time, so the cost measured is op validation plus two snapshot

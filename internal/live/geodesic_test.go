@@ -1,11 +1,13 @@
 package live_test
 
-// Geodesic invalidation pins: under Haversine the dirty region of a
-// mutation is a km-radius ball expanded to conservative degree
+// Geodesic pins of the live overlay. Under Haversine the dirty region
+// of a mutation is a km-radius ball expanded to conservative degree
 // margins (geo.Metric.ExpandRect), so cache eviction stays local — a
 // 50 km influence radius over a 10°×10° region must drop the cells
 // around the mutation, not the whole map — and the dirtied cell
-// refetches the post-mutation answer.
+// refetches the post-mutation answer. The merged read path answers
+// bit-identically to a rebuilt service, exact distance ties between
+// base and delta at the delta search bound included.
 
 import (
 	"context"
@@ -16,6 +18,16 @@ import (
 	"repro/internal/lbs"
 	"repro/internal/live"
 )
+
+// TestLiveGeodesicMutatedEquivalence is the Haversine twin of
+// TestLiveMutatedEquivalence, with a 150 km coverage radius, under
+// distance and prominence rank, over hot locations where base and
+// delta tie exactly (see checkHotTieEquivalence).
+func TestLiveGeodesicMutatedEquivalence(t *testing.T) {
+	checkHotTieEquivalence(t, lbs.Options{K: 5, Metric: geo.Haversine, MaxRadius: 150}, lbs.Options{
+		K: 4, Metric: geo.Haversine, MaxRadius: 150,
+		Rank: lbs.RankByProminence, ProminenceAttr: "rating", ProminenceWeight: 20})
+}
 
 func TestLiveGeodesicCacheInvalidationIsLocal(t *testing.T) {
 	// One tuple and one 1°×1° cache cell per degree square over

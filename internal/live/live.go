@@ -1,6 +1,7 @@
 // Package live adds mutation to the otherwise immutable LBS stack: a
 // live.Database wraps an immutable lbs.Database with an LSM-style
-// delta overlay — an insert buffer plus a tombstone set — merged into
+// delta overlay — an insert buffer plus a tombstone bitset over base
+// indices — merged into
 // every answer inside the existing (dist, ID) ordering contract, so a
 // live database with any overlay answers bit-identically to a plain
 // lbs.Service over the materialized tuple set.
@@ -178,14 +179,57 @@ type snapshot struct {
 	// (K = CandidateCount, shared MaxRadius, no budget) whose merged
 	// answers reproduce a single service over the materialized tuples —
 	// the same member-service construction the federation Router uses.
-	baseCand    *lbs.Service
-	tomb        map[int64]struct{}
+	baseCand *lbs.Service
+	tomb     tombs
+	// alive keeps the untombstoned base indices in baseCand's search
+	// (nil without tombstones).
+	alive       func(int) bool
 	deltaTuples []lbs.Tuple
 	deltaByID   map[int64]int
 	deltaCand   *lbs.Service // nil when the insert buffer is empty
 }
 
-func (s *snapshot) clean() bool { return len(s.tomb) == 0 && len(s.deltaTuples) == 0 }
+func (s *snapshot) clean() bool { return s.tomb.n == 0 && len(s.deltaTuples) == 0 }
+
+// baseKeep is the index-level predicate of a dirty read's base search:
+// untombstoned tuples that filter accepts (nil keeps every tuple).
+func (s *snapshot) baseKeep(filter lbs.Filter) func(int) bool {
+	if filter == nil {
+		return s.alive
+	}
+	return func(i int) bool { return !s.tomb.has(i) && filter(s.base.Tuple(i)) }
+}
+
+// deltaKeep is baseKeep for the delta search, whose indices are
+// positions in deltaTuples.
+func (s *snapshot) deltaKeep(filter lbs.Filter) func(int) bool {
+	if filter == nil {
+		return nil
+	}
+	return func(i int) bool { return filter(&s.deltaTuples[i]) }
+}
+
+// tombs is the tombstone set of an overlay: a bitset over the indices
+// of base tuples hidden by deletion or move, with its population.
+// Snapshots hold frozen tombs; an Apply edits a private copy.
+type tombs struct {
+	bits []uint64
+	n    int
+}
+
+// has reports whether base index i is tombstoned.
+func (t *tombs) has(i int) bool {
+	return i>>6 < len(t.bits) && t.bits[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// add tombstones base index i of a base with baseLen tuples.
+func (t *tombs) add(i, baseLen int) {
+	if t.bits == nil {
+		t.bits = make([]uint64, (baseLen+63)/64)
+	}
+	t.bits[i>>6] |= 1 << (uint(i) & 63)
+	t.n++
+}
 
 // Database is a mutable LBS: an immutable base plus a delta overlay,
 // queryable through the full lbs.Querier surface with the exact
@@ -235,7 +279,7 @@ func New(base *lbs.Database, opts lbs.Options, lopts Options) (*Database, error)
 		journal: lopts.Journal,
 		meter:   lbs.NewMeter(norm.Budget, norm.Limiter),
 	}
-	d.snap.Store(d.buildSnapshot(base, lopts.StartEpoch, nil, nil, nil))
+	d.snap.Store(d.buildSnapshot(base, lopts.StartEpoch, &overlay{}))
 	return d, nil
 }
 
@@ -266,28 +310,30 @@ func (d *Database) unmetered() lbs.Options {
 	return o
 }
 
-// buildSnapshot assembles a snapshot from overlay state. Caller owns
-// the passed maps/slices from here on (they are frozen).
-func (d *Database) buildSnapshot(base *lbs.Database, epoch uint64,
-	tomb map[int64]struct{}, deltaTuples []lbs.Tuple, deltaByID map[int64]int) *snapshot {
-
+// buildSnapshot assembles a snapshot from overlay state. The snapshot
+// takes over o's tombstones and insert buffer (they are frozen from
+// here on).
+func (d *Database) buildSnapshot(base *lbs.Database, epoch uint64, o *overlay) *snapshot {
 	s := &snapshot{
 		epoch:       epoch,
 		base:        base,
 		full:        lbs.NewService(base, d.unmetered()),
 		baseCand:    lbs.NewService(base, d.candOpts()),
-		tomb:        tomb,
-		deltaTuples: deltaTuples,
-		deltaByID:   deltaByID,
+		tomb:        o.tomb,
+		deltaTuples: o.deltaTuples,
+		deltaByID:   o.deltaByID,
 	}
-	if len(deltaTuples) > 0 {
+	if s.tomb.n > 0 {
+		s.alive = func(i int) bool { return !s.tomb.has(i) }
+	}
+	if len(s.deltaTuples) > 0 {
 		// Delta effective locations are the tuples' true locations (see
 		// the package comment on obfuscation).
-		locs := make([]geom.Point, len(deltaTuples))
-		for i := range deltaTuples {
-			locs[i] = deltaTuples[i].Loc
+		locs := make([]geom.Point, len(s.deltaTuples))
+		for i := range s.deltaTuples {
+			locs[i] = s.deltaTuples[i].Loc
 		}
-		delta := lbs.NewDatabaseWithLocations(base.Bounds(), deltaTuples, locs)
+		delta := lbs.NewDatabaseWithLocations(base.Bounds(), s.deltaTuples, locs)
 		s.deltaCand = lbs.NewService(delta, d.candOpts())
 	}
 	return s
@@ -356,12 +402,8 @@ func lookup(s *snapshot, id int64) (lbs.Tuple, geom.Point, bool) {
 	if i, ok := s.deltaByID[id]; ok {
 		return s.deltaTuples[i], s.deltaTuples[i].Loc, true
 	}
-	if _, dead := s.tomb[id]; dead {
-		return lbs.Tuple{}, geom.Point{}, false
-	}
-	if t, ok := s.base.ByID(id); ok {
-		loc, _ := s.base.EffectiveByID(id)
-		return *t, loc, true
+	if i, ok := s.base.IndexOf(id); ok && !s.tomb.has(i) {
+		return *s.base.Tuple(i), s.base.EffectiveLoc(i), true
 	}
 	return lbs.Tuple{}, geom.Point{}, false
 }
@@ -369,7 +411,7 @@ func lookup(s *snapshot, id int64) (lbs.Tuple, geom.Point, bool) {
 // Len returns the number of currently visible tuples.
 func (d *Database) Len() int {
 	s := d.snap.Load()
-	return s.base.Len() - len(s.tomb) + len(s.deltaTuples)
+	return s.base.Len() - s.tomb.n + len(s.deltaTuples)
 }
 
 // Stats returns the database's shape and mutation counters.
@@ -382,7 +424,7 @@ func (d *Database) Stats() Stats {
 		Epoch:       s.epoch,
 		BaseLen:     s.base.Len(),
 		DeltaLen:    len(s.deltaTuples),
-		Tombstones:  len(s.tomb),
+		Tombstones:  s.tomb.n,
 		Inserts:     d.inserts.Load(),
 		Deletes:     d.deletes.Load(),
 		Moves:       d.moves.Load(),
@@ -403,15 +445,14 @@ func (d *Database) LiveStats() Stats { return d.Stats() }
 // contract; the kd-tree layout differs, which the (dist, ID) ordering
 // makes unobservable.
 func materialize(s *snapshot) *lbs.Database {
-	n := s.base.Len() - len(s.tomb) + len(s.deltaTuples)
+	n := s.base.Len() - s.tomb.n + len(s.deltaTuples)
 	tuples := make([]lbs.Tuple, 0, n)
 	locs := make([]geom.Point, 0, n)
 	for i := 0; i < s.base.Len(); i++ {
-		t := s.base.Tuple(i)
-		if _, dead := s.tomb[t.ID]; dead {
+		if s.tomb.has(i) {
 			continue
 		}
-		tuples = append(tuples, *t)
+		tuples = append(tuples, *s.base.Tuple(i))
 		locs = append(locs, s.base.EffectiveLoc(i))
 	}
 	for i := range s.deltaTuples {

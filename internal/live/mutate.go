@@ -12,24 +12,23 @@ import (
 )
 
 // overlay is the mutable working state of an Apply call: a private
-// copy of the snapshot's tombstone set and insert buffer that ops
-// edit in place before the whole thing freezes into a new snapshot.
+// copy of the snapshot's tombstones and insert buffer that ops edit in
+// place before the whole thing freezes into a new snapshot.
 type overlay struct {
-	tomb        map[int64]struct{}
+	tomb        tombs
 	deltaTuples []lbs.Tuple
 	deltaByID   map[int64]int
 }
 
 // overlayFrom copies a snapshot's overlay. The copies are fresh on
 // every Apply — snapshots already handed to readers are never touched.
+// The tombstone bitset is one word per 64 base tuples, so the copy is
+// a flat memmove however many tombstones it holds.
 func overlayFrom(s *snapshot) *overlay {
 	o := &overlay{
-		tomb:        make(map[int64]struct{}, len(s.tomb)+4),
+		tomb:        tombs{bits: append([]uint64(nil), s.tomb.bits...), n: s.tomb.n},
 		deltaTuples: append([]lbs.Tuple(nil), s.deltaTuples...),
 		deltaByID:   make(map[int64]int, len(s.deltaByID)+4),
-	}
-	for id := range s.tomb {
-		o.tomb[id] = struct{}{}
 	}
 	for id, i := range s.deltaByID {
 		o.deltaByID[id] = i
@@ -37,7 +36,7 @@ func overlayFrom(s *snapshot) *overlay {
 	return o
 }
 
-func (o *overlay) size() int { return len(o.tomb) + len(o.deltaTuples) }
+func (o *overlay) size() int { return o.tomb.n + len(o.deltaTuples) }
 
 // dirty accumulates the effective locations a batch of ops touched;
 // the invalidation region derives from it.
@@ -78,11 +77,8 @@ func (o *overlay) present(base *lbs.Database, id int64) bool {
 	if _, ok := o.deltaByID[id]; ok {
 		return true
 	}
-	if _, dead := o.tomb[id]; dead {
-		return false
-	}
-	_, ok := base.ByID(id)
-	return ok
+	i, ok := base.IndexOf(id)
+	return ok && !o.tomb.has(i)
 }
 
 // apply executes one op against base+overlay, recording touched
@@ -115,12 +111,8 @@ func (o *overlay) get(base *lbs.Database, id int64) (lbs.Tuple, geom.Point, bool
 	if i, ok := o.deltaByID[id]; ok {
 		return o.deltaTuples[i], o.deltaTuples[i].Loc, true
 	}
-	if _, dead := o.tomb[id]; dead {
-		return lbs.Tuple{}, geom.Point{}, false
-	}
-	if t, ok := base.ByID(id); ok {
-		loc, _ := base.EffectiveByID(id)
-		return *t, loc, true
+	if i, ok := base.IndexOf(id); ok && !o.tomb.has(i) {
+		return *base.Tuple(i), base.EffectiveLoc(i), true
 	}
 	return lbs.Tuple{}, geom.Point{}, false
 }
@@ -149,15 +141,12 @@ func (o *overlay) delete(base *lbs.Database, id int64, dr *dirty) error {
 		}
 		return nil
 	}
-	if _, dead := o.tomb[id]; dead {
+	i, ok := base.IndexOf(id)
+	if !ok || o.tomb.has(i) {
 		return ErrUnknownID
 	}
-	loc, ok := base.EffectiveByID(id)
-	if !ok {
-		return ErrUnknownID
-	}
-	o.tomb[id] = struct{}{}
-	dr.add(loc)
+	o.tomb.add(i, base.Len())
+	dr.add(base.EffectiveLoc(i))
 	return nil
 }
 
@@ -231,7 +220,7 @@ func (d *Database) Apply(ctx context.Context, ops []Op) []Result {
 			d.moves.Add(1)
 		}
 	}
-	d.snap.Store(d.buildSnapshot(s.base, epoch, o.tomb, o.deltaTuples, o.deltaByID))
+	d.snap.Store(d.buildSnapshot(s.base, epoch, o))
 	if d.lopts.CompactThreshold > 0 && o.size() >= d.lopts.CompactThreshold && !d.compacting {
 		d.compacting = true
 		go d.compactBG()
@@ -260,7 +249,7 @@ func (d *Database) compactPass() int {
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	o := &overlay{tomb: map[int64]struct{}{}, deltaByID: map[int64]int{}}
+	o := &overlay{deltaByID: map[int64]int{}}
 	var dr dirty
 	for _, op := range d.oplog[pos:] {
 		// Replaying an op that originally succeeded against logically
@@ -270,7 +259,7 @@ func (d *Database) compactPass() int {
 		}
 	}
 	cur := d.snap.Load()
-	d.snap.Store(d.buildSnapshot(newBase, cur.epoch, o.tomb, o.deltaTuples, o.deltaByID))
+	d.snap.Store(d.buildSnapshot(newBase, cur.epoch, o))
 	d.oplog = append(d.oplog[:0:0], d.oplog[pos:]...)
 	d.compactions.Add(1)
 	return o.size()

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/lbs"
@@ -9,27 +10,30 @@ import (
 
 // The read path. Every query resolves the snapshot pointer exactly
 // once; a clean overlay delegates to the full-option service over the
-// base (bit-for-bit the immutable behavior at near-zero overhead), a
-// dirty overlay queries base and delta as distance-ranked candidate
-// sources — tombstones excluded by filter, which is semantically
-// identical to removing the tuples: a kNN prefix over the filtered
-// base is the kNN prefix of the base minus the tombstoned tuples —
-// and merges with lbs.MergeRanked, the same (dist, ID) contract the
-// federation Router is pinned against.
-
-// excludeTombstones composes the caller's filter with tombstone
-// exclusion.
-func excludeTombstones(tomb map[int64]struct{}, filter lbs.Filter) lbs.Filter {
-	if len(tomb) == 0 {
-		return filter
-	}
-	return func(t *lbs.Tuple) bool {
-		if _, dead := tomb[t.ID]; dead {
-			return false
-		}
-		return filter == nil || filter(t)
-	}
-}
+// base (bit-for-bit the immutable behavior at near-zero overhead). A
+// dirty overlay runs two candidate searches and one merge:
+//
+//  1. The base answers its CandidateCount nearest tuples, tombstoned
+//     indices skipped inside the k-d tree walk (one bit test each) —
+//     semantically identical to removing them: a kNN prefix of the
+//     base with some tuples excluded is the kNN prefix of the base
+//     minus those tuples.
+//  2. The delta searches only out to the base's last candidate
+//     distance, inclusively (the Router's two-phase bound): when the
+//     base fills its candidate list, no delta tuple farther than that
+//     can make the merged list, and one exactly at it may still win its
+//     ID tie. The bound is widened by one ulp before it becomes the
+//     search's maxDist: the Euclidean k-d search tests d² ≤ maxDist²,
+//     and fl(sqrt(d²))² can fall below d² (sqrt 3 · sqrt 3 =
+//     2.9999999999999996), which would drop a delta tuple tied with the
+//     base's last candidate. The next float up squares to at least d²;
+//     anything it over-admits ranks after that candidate and is cut by
+//     the merge. With fewer base candidates the bound is the coverage
+//     radius.
+//  3. lbs.MergeCandidates merges the two (dist, ID)-ranked lists on
+//     the distances the searches ranked by — no distance is evaluated
+//     twice — and applies the logical selection: the same contract the
+//     federation Router is pinned against.
 
 // answerLR computes one merged LR answer against a fixed snapshot,
 // without charging (callers charge the live meter first; the internal
@@ -38,18 +42,18 @@ func (d *Database) answerLR(ctx context.Context, s *snapshot, q geom.Point, filt
 	if s.clean() {
 		return s.full.QueryLR(ctx, q, filter)
 	}
-	baseRecs, err := s.baseCand.QueryLR(ctx, q, excludeTombstones(s.tomb, filter))
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	base := s.baseCand.QueryRanked(q, s.baseKeep(filter), math.Inf(1))
 	if s.deltaCand == nil {
-		return lbs.MergeRanked(q, d.opts, baseRecs), nil
+		return lbs.MergeCandidates(d.opts, base), nil
 	}
-	deltaRecs, err := s.deltaCand.QueryLR(ctx, q, filter)
-	if err != nil {
-		return nil, err
+	bound := math.Inf(1)
+	if want := d.opts.CandidateCount(); len(base) >= want {
+		bound = math.Nextafter(base[want-1].Dist, math.Inf(1))
 	}
-	return lbs.MergeRanked(q, d.opts, baseRecs, deltaRecs), nil
+	return lbs.MergeCandidates(d.opts, base, s.deltaCand.QueryRanked(q, s.deltaKeep(filter), bound)), nil
 }
 
 // QueryLR implements lbs.Querier.

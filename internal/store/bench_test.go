@@ -104,23 +104,42 @@ func BenchmarkPackScanBoundedPool(b *testing.B) {
 	b.ReportMetric(float64(10_000), "tuples/scan")
 }
 
+// walAppendRun is how many batches BenchmarkWALAppend applies to one
+// store before it opens a fresh one.
+const walAppendRun = 200
+
 // BenchmarkWALAppend measures the durable-mutation hot path: one
-// insert batch journaled (unsynced) per iteration.
+// insert batch journaled (unsynced) per iteration. Compaction is off,
+// so the overlay — and with it the cost of each Apply's snapshot —
+// grows with every batch; a fresh store is opened every walAppendRun
+// iterations with the timer stopped, so every iteration applies onto
+// an overlay of fewer than walAppendRun batches and the per-op cost
+// does not depend on b.N.
 func BenchmarkWALAppend(b *testing.B) {
-	dir := b.TempDir()
-	st, err := Open(dir, Options{})
-	if err != nil {
-		b.Fatal(err)
+	base := workload.USASchools(1000, 7).DB
+	var st *Store
+	var db *live.Database
+	reopen := func() {
+		if st != nil {
+			st.Live().Close()
+		}
+		var err error
+		if st, err = Open(b.TempDir(), Options{}); err != nil {
+			b.Fatal(err)
+		}
+		db, err = st.OpenLive(func() *lbs.Database { return base }, lbs.Options{K: 5}, live.Options{CompactThreshold: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
-	gen := func() *lbs.Database { return workload.USASchools(1000, 7).DB }
-	db, err := st.OpenLive(gen, lbs.Options{K: 5}, live.Options{CompactThreshold: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Live().Close()
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%walAppendRun == 0 {
+			b.StopTimer()
+			reopen()
+			b.StartTimer()
+		}
 		ops := insertOps(100_000+i*8, 8)
 		for _, r := range db.Apply(ctx, ops) {
 			if r.Err != nil {
@@ -128,4 +147,6 @@ func BenchmarkWALAppend(b *testing.B) {
 			}
 		}
 	}
+	b.StopTimer()
+	st.Live().Close()
 }
