@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test perfbench-check bench bench-throughput bench-geom bench-geo-geodesic bench-json bench-smoke bench-fed bench-fed-json bench-live bench-live-json bench-planner bench-planner-json bench-chaos bench-chaos-json bench-store bench-store-json
+.PHONY: all fmt vet build test perfbench-check fuzz-smoke bench bench-throughput bench-geom bench-geo-geodesic bench-json bench-smoke bench-fed bench-fed-json bench-live bench-live-json bench-planner bench-planner-json bench-chaos bench-chaos-json bench-store bench-store-json
 
 all: fmt vet build test
 
@@ -27,6 +27,15 @@ test:
 # break the benchmark build unnoticed.
 perfbench-check:
 	cd perfbench && $(GO) test ./...
+
+# fuzz-smoke runs every fuzz target for FUZZTIME each (go test
+# accepts one -fuzz target per package run): the spec planner and the
+# store's record decoder must survive arbitrary input.
+FUZZTIME ?= 10s
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanBatch$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/store
 
 # bench runs the estimation-session benchmarks; the Parallelism pair
 # measures the wall-clock payoff of WithParallelism(8) over a

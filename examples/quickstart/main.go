@@ -37,25 +37,26 @@ func main() {
 	// kNN interface with a 5,000-query budget (a rate limit stand-in).
 	svc := lbsagg.NewService(db, lbsagg.ServiceOptions{K: 10, Budget: 5000})
 
-	// Aggregates are declarative specs (API v3): they compile once to
-	// the closure form the estimator runs, and the same JSON-ready
+	// Aggregates are declarative specs (API v3): the planner compiles
+	// them once to the closure form the estimator runs (AVG becomes a
+	// SUM/COUNT pair over the same samples), and the same JSON-ready
 	// specs could be submitted to a remote estimation job unchanged
-	// (see examples/jobs).
-	plan, err := lbsagg.CompilePlan([]lbsagg.AggSpec{
+	// (see examples/jobs). Auto picks LR-LBS-AGG, since this interface
+	// returns locations.
+	plan, err := lbsagg.PlanBatch([]lbsagg.AggSpec{
 		lbsagg.CountSpec(),
 		lbsagg.AvgSpec("rating"),
-	})
+	}, lbsagg.PlanOptions{Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	agg := lbsagg.NewLRAggregator(svc, lbsagg.DefaultLROptions(42))
-	phys, err := agg.Run(context.Background(), plan.Aggs)
-	// no run options: sample until the service budget is gone
+	// No run bounds: sample until the service budget is gone.
+	br, err := plan.Execute(context.Background(), svc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	results := plan.Finish(phys)
+	results := br.Results
 
 	count, avg := results[0], results[1]
 	fmt.Printf("queries spent:      %d (budget 5000)\n", count.Queries)

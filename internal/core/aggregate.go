@@ -35,8 +35,8 @@ import (
 // implementation). Every query takes a context so that remote
 // adapters can cancel in-flight requests and honor deadlines; the
 // in-process simulator merely checks ctx between queries.
-// Implementations must be safe for concurrent use (the Driver's
-// parallel mode issues queries from several goroutines).
+// Implementations must be safe for concurrent use (parallel runs
+// issue queries from several goroutines).
 type Oracle interface {
 	// QueryLR answers a location-returned kNN query.
 	QueryLR(ctx context.Context, q geom.Point, filter lbs.Filter) ([]lbs.LRRecord, error)
@@ -112,8 +112,8 @@ func mustCompile(s AggSpec) Aggregate {
 
 // Count returns the COUNT(*) aggregate.
 //
-// Deprecated: build the declarative CountSpec() instead and compile it
-// (or a whole request) with CompilePlan; specs serialize to JSON, so
+// Deprecated: build the declarative CountSpec() instead and plan it
+// (or a whole request) with PlanBatch; specs serialize to JSON, so
 // the same aggregate can travel to a remote estimation job. This shim
 // compiles the equivalent spec.
 func Count() Aggregate { return mustCompile(CountSpec()) }
@@ -139,7 +139,7 @@ func CountWhere(name string, cond func(Record) bool) Aggregate {
 
 // SumAttr returns SUM(attr).
 //
-// Deprecated: use the declarative SumSpec(attr) with CompilePlan; this
+// Deprecated: use the declarative SumSpec(attr) with PlanBatch; this
 // shim compiles the equivalent spec.
 func SumAttr(attr string) Aggregate { return mustCompile(SumSpec(attr)) }
 
@@ -237,25 +237,6 @@ func (a *Accumulator) StdErr() float64 {
 // CI95 returns the half-width of the normal-approximation 95 %
 // confidence interval.
 func (a *Accumulator) CI95() float64 { return 1.96 * a.StdErr() }
-
-// Merge folds another accumulator's state into a, as if every sample
-// b saw had been Added to a (the pairwise update of Chan, Golub &
-// LeVeque). Sample order is immaterial for mean and M2, so parallel
-// drivers can merge per-worker accumulators without replaying values.
-func (a *Accumulator) Merge(b Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = b
-		return
-	}
-	n := a.n + b.n
-	d := b.mean - a.mean
-	a.m2 += b.m2 + d*d*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += d * float64(b.n) / float64(n)
-	a.n = n
-}
 
 // TracePoint is one point of the estimate-versus-cost trace (the
 // Figure 12 curves).

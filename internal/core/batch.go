@@ -77,7 +77,7 @@ var _ BatchEstimator = (*NNOBaseline)(nil)
 // is coarser by up to one batch — the same class of overshoot
 // WithMaxQueries documents for parallel workers.
 func WithBatch(m int) RunOption {
-	return func(c *runConfig) { c.batch = m }
+	return func(c *runConfig) { c.Batch = m }
 }
 
 // stepBatch draws up to m samples from est: natively batched when

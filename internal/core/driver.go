@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/lbs"
 )
@@ -40,15 +38,13 @@ var (
 	_ Estimator = (*NNOBaseline)(nil)
 )
 
-// runConfig is the resolved option set of one Run call.
+// runConfig is the resolved option set of one Run call: the plan
+// options every run shares (sample and query bounds, CI target, batch
+// size, parallelism) plus the single-stream trace sinks.
 type runConfig struct {
-	maxSamples  int
-	maxQueries  int64
-	targetCI    float64
-	progress    func([]TracePoint)
-	parallelism int
-	batch       int
-	noTrace     bool
+	PlanOptions
+	progress func([]TracePoint)
+	noTrace  bool
 }
 
 // RunOption configures an estimation run (see Driver.Run).
@@ -57,7 +53,7 @@ type RunOption func(*runConfig)
 // WithMaxSamples stops the run after n completed point samples
 // (0 = unlimited).
 func WithMaxSamples(n int) RunOption {
-	return func(c *runConfig) { c.maxSamples = n }
+	return func(c *runConfig) { c.MaxSamples = n }
 }
 
 // WithMaxQueries stops the run once the service has answered n queries
@@ -69,7 +65,7 @@ func WithMaxSamples(n int) RunOption {
 // worth. Against a paid or hard-capped remote API, enforce the cap on
 // the service side (ServiceOptions.Budget or the adapter) as well.
 func WithMaxQueries(n int64) RunOption {
-	return func(c *runConfig) { c.maxQueries = n }
+	return func(c *runConfig) { c.MaxQueries = n }
 }
 
 // ciMinSamples is the number of samples required before the TargetCI
@@ -81,14 +77,14 @@ const ciMinSamples = 16
 // half-width has fallen below rel × |estimate| (after a minimum of
 // ciMinSamples samples). rel ≤ 0 disables the rule.
 func WithTargetCI(rel float64) RunOption {
-	return func(c *runConfig) { c.targetCI = rel }
+	return func(c *runConfig) { c.TargetCI = rel }
 }
 
 // WithProgress registers a streaming callback invoked after every
 // completed sample with one TracePoint per aggregate (index-aligned
-// with the aggs given to Run). The callback runs on the driver's
-// collector goroutine; it must not block for long and must not call
-// back into the run.
+// with the aggs given to Run). The callback runs on the goroutine that
+// called Run; it must not block for long and must not call back into
+// the run.
 func WithProgress(fn func(points []TracePoint)) RunOption {
 	return func(c *runConfig) { c.progress = fn }
 }
@@ -102,15 +98,15 @@ func WithoutTrace() RunOption {
 	return func(c *runConfig) { c.noTrace = true }
 }
 
-// WithParallelism draws point samples from n concurrent workers, each
-// an independent Fork of the estimator, and merges their accumulator
-// states (the pairwise variance combination of Chan et al.). Samples
-// are i.i.d. and order-free, so the merged estimate has exactly the
-// same distribution as a serial run of equal size; with a remote
-// (latency-bound) Oracle the wall-clock time shrinks almost linearly
-// in n. n ≤ 1 means serial.
+// WithParallelism draws point samples from n concurrent workers: the
+// estimator itself plus n−1 independent Forks. Every completed sample
+// folds, in arrival order, into the run's one accumulator set. Samples
+// are i.i.d. and order-free, so the estimate has exactly the same
+// distribution as a serial run of equal size (though not the same
+// bits); with a remote (latency-bound) Oracle the wall-clock time
+// shrinks almost linearly in n. n ≤ 1 means serial.
 func WithParallelism(n int) RunOption {
-	return func(c *runConfig) { c.parallelism = n }
+	return func(c *runConfig) { c.Parallelism = n }
 }
 
 // Driver executes an Estimator against its service: it repeatedly
@@ -128,7 +124,9 @@ type Driver struct {
 
 // Run executes the estimation. See the package documentation for the
 // stopping rules; with no options it runs until the service refuses
-// further queries (lbs.ErrBudgetExhausted) or ctx is canceled.
+// further queries (lbs.ErrBudgetExhausted) or ctx is canceled. A run
+// is one sample stream over d.Est (see stream.run), the same loop
+// that executes each group of a QueryPlan.
 func (d *Driver) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) ([]Result, error) {
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("core: no aggregates given")
@@ -137,13 +135,46 @@ func (d *Driver) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) (
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.batch < 1 {
-		cfg.batch = 1
+	svc := d.Est.Service()
+	startQ := svc.QueryCount()
+	s := newStream(d.Est, aggs, cfg.Parallelism)
+	traces := make([][]TracePoint, len(aggs))
+	points := make([]TracePoint, len(aggs))
+	s.converged = func() bool { return ciMet(s.accs, cfg.TargetCI) }
+	s.onSample = func(q int64, degraded bool) {
+		for j := range aggs {
+			points[j] = TracePoint{Queries: q, Samples: s.accs[j].N(), Estimate: s.accs[j].Mean(), Degraded: degraded}
+			if !cfg.noTrace {
+				traces[j] = append(traces[j], points[j])
+			}
+		}
+		if cfg.progress != nil {
+			cfg.progress(points)
+		}
 	}
-	if cfg.parallelism > 1 {
-		return d.runParallel(ctx, aggs, cfg)
+	if _, err := s.run(ctx, svc, startQ, 0, &cfg.PlanOptions); err != nil {
+		return nil, err
 	}
-	return d.runSerial(ctx, aggs, cfg)
+	if s.samples == 0 {
+		return nil, noSampleErr(ctx)
+	}
+	queries := svc.QueryCount() - startQ
+	results := make([]Result, len(aggs))
+	for j := range aggs {
+		results[j] = resultOfAcc(aggs[j].Name, &s.accs[j], queries)
+		results[j].DegradedSamples = s.degraded
+		results[j].Trace = traces[j]
+	}
+	return results, nil
+}
+
+// noSampleErr is the error of a run that ended before completing a
+// single sample: the context's, or budget exhaustion.
+func noSampleErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("core: budget exhausted before completing a single sample")
 }
 
 // Run is the convenience entry point the estimators' Run methods
@@ -200,237 +231,4 @@ func ciMet(accs []Accumulator, rel float64) bool {
 		}
 	}
 	return true
-}
-
-// finalize assembles Results from accumulator states.
-func finalize(aggs []Aggregate, accs []Accumulator, traces [][]TracePoint, queries int64, degraded int) []Result {
-	results := make([]Result, len(aggs))
-	for j := range aggs {
-		results[j].Name = aggs[j].Name
-		results[j].Estimate = accs[j].Mean()
-		results[j].StdErr = accs[j].StdErr()
-		results[j].CI95 = accs[j].CI95()
-		results[j].Samples = accs[j].N()
-		results[j].Queries = queries
-		results[j].DegradedSamples = degraded
-		if traces != nil {
-			results[j].Trace = traces[j]
-		}
-	}
-	return results
-}
-
-// runSerial is the single-goroutine driver loop (the v1 semantics plus
-// cancellation, progress streaming and the CI stopping rule).
-func (d *Driver) runSerial(ctx context.Context, aggs []Aggregate, cfg runConfig) ([]Result, error) {
-	svc := d.Est.Service()
-	accs := make([]Accumulator, len(aggs))
-	traces := make([][]TracePoint, len(aggs))
-	startQ := svc.QueryCount()
-	points := make([]TracePoint, len(aggs))
-	degradedSamples := 0
-	for {
-		if cfg.maxSamples > 0 && accs[0].N() >= cfg.maxSamples {
-			break
-		}
-		if cfg.maxQueries > 0 && svc.QueryCount()-startQ >= cfg.maxQueries {
-			break
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		m := cfg.batch
-		if cfg.maxSamples > 0 {
-			if rem := cfg.maxSamples - accs[0].N(); rem < m {
-				m = rem
-			}
-		}
-		deg0 := degradedCount(svc)
-		batchVals, err := stepBatch(ctx, d.Est, aggs, m)
-		q := svc.QueryCount() - startQ
-		// Degradation is attributed at batch grain: any partial answer
-		// during the batch marks every sample the batch completed.
-		degraded := degradedCount(svc) > deg0
-		for _, vals := range batchVals {
-			if degraded {
-				degradedSamples++
-			}
-			for j := range aggs {
-				accs[j].Add(vals[j])
-				points[j] = TracePoint{Queries: q, Samples: accs[j].N(), Estimate: accs[j].Mean(), Degraded: degraded}
-				if !cfg.noTrace {
-					traces[j] = append(traces[j], points[j])
-				}
-			}
-			if cfg.progress != nil {
-				cfg.progress(points)
-			}
-		}
-		if stopErr(ctx, err) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if ciMet(accs, cfg.targetCI) {
-			break
-		}
-	}
-	if accs[0].N() == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: budget exhausted before completing a single sample")
-	}
-	return finalize(aggs, accs, traces, svc.QueryCount()-startQ, degradedSamples), nil
-}
-
-// sampleMsg carries one completed sample from a worker to the
-// collector.
-type sampleMsg struct {
-	vals    []float64
-	queries int64 // run-relative query count right after the sample
-	// degraded marks the sample's batch as drawn while the shared
-	// service answered degraded. Attribution across concurrent workers
-	// is coarse (a partial answer in flight may mark another worker's
-	// overlapping batch too) — conservative in the safe direction.
-	degraded bool
-}
-
-// runParallel executes cfg.parallelism workers, each over an
-// independent Fork of the estimator, against the shared service. Every
-// worker folds its own samples into private Accumulators; the final
-// estimate merges the per-worker states pairwise (Chan et al.), while
-// a collector goroutine orders the streamed samples into the trace,
-// drives the progress callback and evaluates the CI stopping rule.
-func (d *Driver) runParallel(ctx context.Context, aggs []Aggregate, cfg runConfig) ([]Result, error) {
-	svc := d.Est.Service()
-	startQ := svc.QueryCount()
-	n := cfg.parallelism
-
-	// Workers: the receiver itself plus n−1 forks (re-seeded so their
-	// random walks are independent).
-	ests := make([]Estimator, n)
-	ests[0] = d.Est
-	for i := 1; i < n; i++ {
-		ests[i] = d.Est.Fork(int64(i))
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		taken    atomic.Int64 // samples reserved (bounds maxSamples)
-		fatalMu  sync.Mutex
-		fatalErr error // first non-stop error
-		wg       sync.WaitGroup
-		workers  = make([][]Accumulator, n)
-		samples  = make(chan sampleMsg, n*2)
-	)
-	for w := 0; w < n; w++ {
-		workers[w] = make([]Accumulator, len(aggs))
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			est := ests[w]
-			accs := workers[w]
-			for {
-				if runCtx.Err() != nil {
-					return
-				}
-				if cfg.maxQueries > 0 && svc.QueryCount()-startQ >= cfg.maxQueries {
-					return
-				}
-				m := cfg.batch
-				if cfg.maxSamples > 0 {
-					got := taken.Add(int64(m))
-					over := got - int64(cfg.maxSamples)
-					if over >= int64(m) {
-						return
-					}
-					if over > 0 {
-						m -= int(over)
-					}
-				}
-				deg0 := degradedCount(svc)
-				batchVals, err := stepBatch(runCtx, est, aggs, m)
-				q := svc.QueryCount() - startQ
-				degraded := degradedCount(svc) > deg0
-				for _, vals := range batchVals {
-					// Hand the sample to the collector before folding it
-					// in, so a cancellation between the two cannot produce
-					// a merged state the trace/progress stream never saw:
-					// a sample either reaches both or neither.
-					select {
-					case samples <- sampleMsg{vals: vals, queries: q, degraded: degraded}:
-					case <-runCtx.Done():
-						return
-					}
-					for j := range aggs {
-						accs[j].Add(vals[j])
-					}
-				}
-				if stopErr(runCtx, err) {
-					return
-				}
-				if err != nil {
-					fatalMu.Lock()
-					if fatalErr == nil {
-						fatalErr = err
-					}
-					fatalMu.Unlock()
-					cancel()
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(samples)
-	}()
-
-	// Collector: orders the stream into the trace and monitors the CI
-	// target on its own running view of the merged state (same sample
-	// set, so the view agrees with the final pairwise merge).
-	monitor := make([]Accumulator, len(aggs))
-	traces := make([][]TracePoint, len(aggs))
-	points := make([]TracePoint, len(aggs))
-	degradedSamples := 0
-	for msg := range samples {
-		if msg.degraded {
-			degradedSamples++
-		}
-		for j := range aggs {
-			monitor[j].Add(msg.vals[j])
-			points[j] = TracePoint{Queries: msg.queries, Samples: monitor[j].N(), Estimate: monitor[j].Mean(), Degraded: msg.degraded}
-			if !cfg.noTrace {
-				traces[j] = append(traces[j], points[j])
-			}
-		}
-		if cfg.progress != nil {
-			cfg.progress(points)
-		}
-		if ciMet(monitor, cfg.targetCI) {
-			cancel() // drain continues until workers exit
-		}
-	}
-
-	if fatalErr != nil {
-		return nil, fatalErr
-	}
-	// Pairwise merge of the per-worker accumulator states.
-	final := make([]Accumulator, len(aggs))
-	for w := 0; w < n; w++ {
-		for j := range aggs {
-			final[j].Merge(workers[w][j])
-		}
-	}
-	if final[0].N() == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: budget exhausted before completing a single sample")
-	}
-	return finalize(aggs, final, traces, svc.QueryCount()-startQ, degradedSamples), nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -11,39 +10,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/lbs"
 )
-
-// TestAccumulatorMerge checks that the pairwise Chan et al. merge
-// agrees with folding every value into one accumulator sequentially.
-func TestAccumulatorMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	vals := make([]float64, 501)
-	for i := range vals {
-		vals[i] = rng.NormFloat64()*3 + 10
-	}
-	var whole Accumulator
-	for _, v := range vals {
-		whole.Add(v)
-	}
-	for _, split := range []int{0, 1, 137, 500, 501} {
-		var a, b Accumulator
-		for _, v := range vals[:split] {
-			a.Add(v)
-		}
-		for _, v := range vals[split:] {
-			b.Add(v)
-		}
-		a.Merge(b)
-		if a.N() != whole.N() {
-			t.Fatalf("split %d: n=%d want %d", split, a.N(), whole.N())
-		}
-		if math.Abs(a.Mean()-whole.Mean()) > 1e-9 {
-			t.Errorf("split %d: mean %v want %v", split, a.Mean(), whole.Mean())
-		}
-		if math.Abs(a.Variance()-whole.Variance()) > 1e-9 {
-			t.Errorf("split %d: var %v want %v", split, a.Variance(), whole.Variance())
-		}
-	}
-}
 
 // TestDriverCancellationPartialResults cancels the run mid-flight and
 // expects the Results of the samples completed so far, not an error.
@@ -179,19 +145,20 @@ func TestDriverProgressStreaming(t *testing.T) {
 	}
 }
 
-// TestRunBudgetShim checks the deprecated v1-signature shim matches
-// the v2 option semantics.
+// TestRunBudgetShim checks the v1 positional budget call
+// (maxSamples=60, maxQueries=0), now spelled with run options, keeps
+// its semantics: exactly 60 samples and an unbiased COUNT.
 func TestRunBudgetShim(t *testing.T) {
 	svc, db := smallService(t, 100, 5, 17)
 	agg := NewLRAggregator(svc, DefaultLROptions(18))
-	res, err := agg.RunBudget([]Aggregate{Count()}, 60, 0)
+	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(60))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res[0].Samples != 60 {
-		t.Fatalf("shim samples = %d, want 60", res[0].Samples)
+		t.Fatalf("samples = %d, want 60", res[0].Samples)
 	}
-	checkZ(t, "shim COUNT", res[0], float64(db.Len()), 5)
+	checkZ(t, "COUNT", res[0], float64(db.Len()), 5)
 }
 
 // slowOracle injects a fixed per-query latency in front of an Oracle,

@@ -700,10 +700,3 @@ func (a *LNRAggregator) Fork(seed int64) Estimator {
 func (a *LNRAggregator) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) ([]Result, error) {
 	return Run(ctx, a, aggs, opts...)
 }
-
-// RunBudget preserves the v1 positional run signature.
-//
-// Deprecated: use Run with WithMaxSamples / WithMaxQueries.
-func (a *LNRAggregator) RunBudget(aggs []Aggregate, maxSamples int, maxQueries int64) ([]Result, error) {
-	return a.Run(context.Background(), aggs, WithMaxSamples(maxSamples), WithMaxQueries(maxQueries))
-}

@@ -612,10 +612,3 @@ func (a *LRAggregator) Fork(seed int64) Estimator {
 func (a *LRAggregator) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) ([]Result, error) {
 	return Run(ctx, a, aggs, opts...)
 }
-
-// RunBudget preserves the v1 positional run signature.
-//
-// Deprecated: use Run with WithMaxSamples / WithMaxQueries.
-func (a *LRAggregator) RunBudget(aggs []Aggregate, maxSamples int, maxQueries int64) ([]Result, error) {
-	return a.Run(context.Background(), aggs, WithMaxSamples(maxSamples), WithMaxQueries(maxQueries))
-}

@@ -236,10 +236,3 @@ func (b *NNOBaseline) Fork(seed int64) Estimator {
 func (b *NNOBaseline) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) ([]Result, error) {
 	return Run(ctx, b, aggs, opts...)
 }
-
-// RunBudget preserves the v1 positional run signature.
-//
-// Deprecated: use Run with WithMaxSamples / WithMaxQueries.
-func (b *NNOBaseline) RunBudget(aggs []Aggregate, maxSamples int, maxQueries int64) ([]Result, error) {
-	return b.Run(context.Background(), aggs, WithMaxSamples(maxSamples), WithMaxQueries(maxQueries))
-}

@@ -12,9 +12,8 @@ import (
 // system — by the batch size. PlanBatch instead:
 //
 //   - canonicalizes and dedups predicates across specs (canon.go), so
-//     each distinct selection compiles once and is evaluated at most
-//     once per returned record (the predicate fan-out of the operator
-//     graph);
+//     each distinct selection compiles once per group and every
+//     aggregate over it shares the compiled closure;
 //   - fuses COUNT/SUM/AVG over the same selection into one physical
 //     aggregate per (kind, attr, selection) — AVG contributes its
 //     SUM/COUNT halves to the same pool — so a batch of M specs runs
@@ -28,11 +27,11 @@ import (
 //     (Execute).
 //
 // Execution is a chain of streaming operators over the sample trace:
-// sample source (the group's Estimator) → predicate filter fan-out
-// (predBank) → fused aggregators (one Accumulator per physical
-// aggregate) → per-spec CI sinks (ratio finishing, progress,
-// partials). Partial results and the NDJSON trace fall out of the
-// operator graph: every completed sample streams one PlanProgress.
+// sample source (the group's Estimator and its parallel forks) → fused
+// aggregators (one Accumulator per physical aggregate) → per-spec CI
+// sinks (ratio finishing, progress, partials). Partial results and the
+// NDJSON trace fall out of the operator graph: every completed sample
+// streams one PlanProgress.
 
 // Method names of the estimation algorithms the planner can schedule.
 // They match the wire names of internal/jobs.
@@ -73,7 +72,7 @@ type PlanOptions struct {
 	// returned): the cost model then schedules LNR instead of LR.
 	RankOnly bool
 	// Seed drives the whole batch. Group 0 uses it verbatim — a
-	// single-group plan reproduces a legacy single-stream run with the
+	// single-group plan reproduces a single-estimator Run with the
 	// same seed — and group g derives a splitmix64-mixed seed, exposed
 	// as PlanGroup.Seed so equivalence checks can replay groups.
 	Seed int64
@@ -93,6 +92,10 @@ type PlanOptions struct {
 	// Batch draws up to m samples per oracle round-trip within a group
 	// (see WithBatch; only batch-capable estimators exploit it).
 	Batch int
+	// Parallelism is the number of concurrent step workers per group:
+	// the group's estimator and its forks (≤ 1 = serial; see
+	// WithParallelism).
+	Parallelism int
 }
 
 // defaultCheckpointSamples is the re-plan grain when the caller does
@@ -103,11 +106,6 @@ const defaultCheckpointSamples = 64
 // QueryPlan is a compiled multi-aggregate batch: the validated source
 // specs and the method groups that answer them. Build with PlanBatch,
 // run with Execute.
-//
-// A QueryPlan is single-use and single-threaded: the fused physical
-// aggregates of its groups share per-record predicate memos (predBank),
-// so the Aggregates in PlanGroup.Aggs must not be run concurrently or
-// through the Driver's parallel mode.
 type QueryPlan struct {
 	// Specs are the validated source specs, in request order.
 	Specs []AggSpec
@@ -140,8 +138,8 @@ type PlanGroup struct {
 	Specs []int
 	// Aggs are the fused physical aggregates (deduped by kind, attr
 	// and canonical selection; AVG specs contribute their SUM/COUNT
-	// halves). Their Value closures share a per-record predicate memo
-	// and are not safe for concurrent use.
+	// halves). Their Value closures are pure, so concurrent workers
+	// may share them.
 	Aggs []Aggregate
 	// PredHashes are the structural hashes of the group's distinct
 	// canonical predicates, in first-use order (observability: the CLI
@@ -150,85 +148,17 @@ type PlanGroup struct {
 
 	// entries maps each group-local spec to its physical aggregates.
 	entries []planEntry
-	bank    *predBank
 }
 
-// predBank is the predicate filter fan-out operator: every distinct
-// canonical predicate of a group, compiled once, with a one-record
-// memo so a record answered by k fused aggregates evaluates each
-// predicate once instead of k times. The memo keys on the fields
-// predicates can read (ID, HasLoc, Loc); consecutive Value calls on
-// the same record hit it, and any other record resets it. Under a live
-// (mutating) backend a record re-returned with changed attributes
-// under an unchanged identity could reuse one stale predicate
-// evaluation; the staleness window is bounded to a single record
-// evaluation and only matters mid-mutation.
-type predBank struct {
-	preds []func(Record) bool
-
-	valid   bool
-	lastID  int64
-	lastHas bool
-	lastX   float64
-	lastY   float64
-	evald   []bool
-	val     []bool
-}
-
-// eval returns predicate i's value on r through the memo.
-func (b *predBank) eval(i int, r Record) bool {
-	if !b.valid || r.ID != b.lastID || r.HasLoc != b.lastHas || r.Loc.X != b.lastX || r.Loc.Y != b.lastY {
-		b.valid = true
-		b.lastID, b.lastHas = r.ID, r.HasLoc
-		b.lastX, b.lastY = r.Loc.X, r.Loc.Y
-		for j := range b.evald {
-			b.evald[j] = false
-		}
-	}
-	if !b.evald[i] {
-		b.val[i] = b.preds[i](r)
-		b.evald[i] = true
-	}
-	return b.val[i]
-}
-
-// add registers a compiled predicate and returns its index.
-func (b *predBank) add(fn func(Record) bool) int {
-	b.preds = append(b.preds, fn)
-	b.evald = append(b.evald, false)
-	b.val = append(b.val, false)
-	return len(b.preds) - 1
-}
-
-// fusedValue builds the per-record value closure of one physical
-// aggregate whose selection is predicate pi of bank (pi < 0 = no
-// selection). Semantically identical to compileValue over the compiled
-// predicate — the memo only changes how often the predicate runs,
-// never what it returns — which is what keeps planned runs
-// bit-identical to independent ones.
-func fusedValue(kind, attr string, bank *predBank, pi int) func(Record) float64 {
-	if pi < 0 {
-		return compileValue(kind, attr, nil)
-	}
-	if kind == AggCount {
-		return func(r Record) float64 {
-			if bank.eval(pi, r) {
-				return 1
-			}
-			return 0
-		}
-	}
-	return func(r Record) float64 {
-		if bank.eval(pi, r) {
-			return r.Attr(attr)
-		}
-		return 0
-	}
+// planEntry maps one spec to its physical aggregate indices.
+type planEntry struct {
+	num int // physical index of the (only, or numerator) aggregate
+	den int // physical index of the AVG denominator, or -1
 }
 
 // mixSeed derives group g's seed from the batch seed (splitmix64).
 // Group 0 keeps the batch seed verbatim so single-group plans
-// reproduce legacy runs.
+// reproduce single-estimator Runs.
 func mixSeed(seed int64, g int) int64 {
 	if g == 0 {
 		return seed
@@ -302,34 +232,34 @@ func PlanBatch(specs []AggSpec, opts PlanOptions) (*QueryPlan, error) {
 	type physRef struct{ group, idx int }
 	// Group-local dedup tables, indexed by group.
 	var physOf []map[string]int
-	var predOf []map[string]int
+	var predOf []map[string]func(Record) bool
 	allPreds := make(map[string]struct{})
 
 	// physIndex interns one physical aggregate (kind, attr, canonical
-	// selection) into group g, compiling its predicate into the
-	// group's bank on first use.
+	// selection) into group g, compiling its predicate on the group's
+	// first use of it.
 	physIndex := func(g int, kind, attr string, where *PredSpec) int {
 		grp := &plan.Groups[g]
 		key := physKey(kind, attr, where)
 		if i, ok := physOf[g][key]; ok {
 			return i
 		}
-		pi := -1
+		var cond func(Record) bool
 		if where != nil {
 			c := where.Canon()
 			pkey := c.canonKey()
 			allPreds[pkey] = struct{}{}
 			var ok bool
-			if pi, ok = predOf[g][pkey]; !ok {
-				pi = grp.bank.add(c.compile())
-				predOf[g][pkey] = pi
+			if cond, ok = predOf[g][pkey]; !ok {
+				cond = c.compile()
+				predOf[g][pkey] = cond
 				grp.PredHashes = append(grp.PredHashes, c.Hash())
 			}
 		}
 		spec := AggSpec{Kind: kind, Attr: attr, Where: where}
 		agg := Aggregate{
 			Name:          spec.name(),
-			Value:         fusedValue(kind, attr, grp.bank, pi),
+			Value:         compileValue(kind, attr, cond),
 			NeedsLocation: where != nil && where.needsLocation(),
 		}
 		physOf[g][key] = len(grp.Aggs)
@@ -362,10 +292,9 @@ func PlanBatch(specs []AggSpec, opts PlanOptions) (*QueryPlan, error) {
 				Method:        method,
 				NeedsLocation: key.needsLoc,
 				CostPerSample: cost,
-				bank:          &predBank{},
 			})
 			physOf = append(physOf, make(map[string]int))
-			predOf = append(predOf, make(map[string]int))
+			predOf = append(predOf, make(map[string]func(Record) bool))
 		}
 		grp := &plan.Groups[g]
 		var e planEntry

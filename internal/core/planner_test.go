@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/lbs"
 	"repro/internal/shard"
 )
@@ -196,15 +197,7 @@ func TestPlanBatchEquivalentToIndependentRuns(t *testing.T) {
 					for _, si := range g.Specs {
 						ref := planBackend(t, db, 2, shards)
 						est := newPlanEstimator(g.Method, ref, g.Seed)
-						sp, err := CompilePlan([]AggSpec{specs[si]})
-						if err != nil {
-							t.Fatal(err)
-						}
-						phys, err := Run(ctx, est, sp.Aggs, WithMaxSamples(g.Samples))
-						if err != nil {
-							t.Fatal(err)
-						}
-						want := sp.Finish(phys)[0]
+						want := independentRun(t, est, specs[si], g.Samples)
 						got := br.Results[si]
 						if got.Estimate != want.Estimate && !(math.IsNaN(got.Estimate) && math.IsNaN(want.Estimate)) {
 							t.Errorf("spec %d (%s): batch estimate %v != independent %v",
@@ -234,6 +227,91 @@ func TestPlanBatchEquivalentToIndependentRuns(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestPlanParallelMultiGroup runs a two-group LNR plan (the in-rect
+// selection splits off for its localization surcharge) whose groups
+// share predicates, at four step workers per group: every group draws
+// exactly its sample cap, the group query accounts sum to the batch
+// total, and COUNT(*) is unbiased. Run under -race it also pins that
+// the fused aggregates and the hand-off are safe for concurrent
+// workers.
+func TestPlanParallelMultiGroup(t *testing.T) {
+	svc, db := smallService(t, 80, 3, 8)
+	flag := TagEq("flag", "yes")
+	rect := geom.NewRect(geom.Pt(0, 0), geom.Pt(60, 60))
+	specs := []AggSpec{
+		CountSpec(),
+		CountSpec().WithWhere(flag),
+		AvgSpec("weight").WithWhere(flag),
+		CountSpec().WithWhere(And(flag, InRect(rect))),
+		SumSpec("weight").WithWhere(And(InRect(rect), flag)),
+	}
+	const samples = 120
+	plan, err := PlanBatch(specs, PlanOptions{
+		Method: MethodLNR, Seed: 13, MaxSamples: samples, CheckpointSamples: 16, Parallelism: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Groups) != 2 || !plan.Groups[1].NeedsLocation {
+		t.Fatalf("got groups %+v, want a plain and a location-reading LNR group", plan.Groups)
+	}
+	seen := make([]int, len(plan.Groups))
+	br, err := plan.Execute(context.Background(), svc, func(pp PlanProgress) {
+		if pp.GroupSamples != seen[pp.Group]+1 {
+			t.Errorf("group %d: progress jumped from %d to %d samples", pp.Group, seen[pp.Group], pp.GroupSamples)
+		}
+		seen[pp.Group] = pp.GroupSamples
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var groupQueries int64
+	for gi, g := range br.Groups {
+		if g.Samples != samples {
+			t.Errorf("group %d drew %d samples, want %d", gi, g.Samples, samples)
+		}
+		groupQueries += g.Queries
+	}
+	if br.Queries != groupQueries || br.Queries != svc.QueryCount() {
+		t.Errorf("batch queries %d, group sum %d, service count %d: want all equal",
+			br.Queries, groupQueries, svc.QueryCount())
+	}
+	checkZ(t, "parallel COUNT(*)", br.Results[0], float64(db.Len()), 5)
+}
+
+// independentRun estimates one spec alone on its own Run of est: COUNT
+// and SUM compile to one Aggregate, AVG runs its SUM/COUNT pair and
+// finishes through RatioOf (the §1.3 scheme).
+func independentRun(t *testing.T, est Estimator, spec AggSpec, samples int) Result {
+	t.Helper()
+	var aggs []Aggregate
+	if spec.Kind == AggAvg {
+		for _, half := range []AggSpec{{Kind: AggSum, Attr: spec.Attr, Where: spec.Where}, {Kind: AggCount, Where: spec.Where}} {
+			agg, err := half.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			aggs = append(aggs, agg)
+		}
+	} else {
+		agg, err := spec.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggs = append(aggs, agg)
+	}
+	res, err := Run(context.Background(), est, aggs, WithMaxSamples(samples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Kind != AggAvg {
+		return res[0]
+	}
+	r := RatioOf(res[0], res[1])
+	r.Name = spec.Name()
+	return r
 }
 
 // TestPlannerQuerySavings is the acceptance pin of the batch-cost

@@ -300,7 +300,7 @@ const (
 //
 // COUNT and SUM compile to one Aggregate each; AVG expands to a
 // SUM/COUNT pair combined by RatioOf when the run finishes (the §1.3
-// scheme) — use CompilePlan to compile a request's spec list.
+// scheme) — PlanBatch compiles a request's spec list.
 type AggSpec struct {
 	Kind  string    `json:"kind"`
 	Attr  string    `json:"attr,omitempty"`
@@ -407,13 +407,13 @@ func compileValue(kind, attr string, cond func(Record) bool) func(Record) float6
 
 // Compile turns a COUNT or SUM spec into the closure-form Aggregate the
 // estimators execute. AVG specs do not compile to a single Aggregate —
-// use CompilePlan, which expands them into a SUM/COUNT pair.
+// use PlanBatch, which expands them into a SUM/COUNT pair.
 func (s *AggSpec) Compile() (Aggregate, error) {
 	if err := s.Validate(); err != nil {
 		return Aggregate{}, err
 	}
 	if s.Kind == AggAvg {
-		return Aggregate{}, fmt.Errorf("core: avg expands to a SUM/COUNT pair; compile it with CompilePlan")
+		return Aggregate{}, fmt.Errorf("core: avg expands to a SUM/COUNT pair; plan it with PlanBatch")
 	}
 	var cond func(Record) bool
 	needsLoc := false
@@ -426,82 +426,4 @@ func (s *AggSpec) Compile() (Aggregate, error) {
 		Value:         compileValue(s.Kind, s.Attr, cond),
 		NeedsLocation: needsLoc,
 	}, nil
-}
-
-// AggPlan is a compiled list of aggregate specs: the physical
-// Aggregates an estimation run executes, plus the finishing step that
-// folds them back into one Result per spec (AVG specs expand to a
-// SUM/COUNT pair and finish through RatioOf).
-type AggPlan struct {
-	// Specs are the validated source specs, in request order.
-	Specs []AggSpec
-	// Aggs are the physical aggregates to run (len ≥ len(Specs)).
-	Aggs []Aggregate
-	// entries[i] locates spec i's physical results.
-	entries []planEntry
-}
-
-// planEntry maps one spec to its physical aggregate indices.
-type planEntry struct {
-	num int // physical index of the (only, or numerator) aggregate
-	den int // physical index of the AVG denominator, or -1
-}
-
-// CompilePlan validates and compiles a request's aggregate specs. The
-// compiled plan shares one estimation run: AVG numerators and
-// denominators are estimated from the same samples, exactly as the
-// paper's AVG scheme prescribes.
-func CompilePlan(specs []AggSpec) (*AggPlan, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("core: no aggregates given")
-	}
-	plan := &AggPlan{Specs: make([]AggSpec, len(specs))}
-	copy(plan.Specs, specs)
-	for i := range plan.Specs {
-		s := &plan.Specs[i]
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("aggregate %d: %w", i, err)
-		}
-		if s.Kind != AggAvg {
-			agg, err := s.Compile()
-			if err != nil {
-				return nil, fmt.Errorf("aggregate %d: %w", i, err)
-			}
-			plan.entries = append(plan.entries, planEntry{num: len(plan.Aggs), den: -1})
-			plan.Aggs = append(plan.Aggs, agg)
-			continue
-		}
-		// AVG(attr | where) = SUM(attr | where) / COUNT(where).
-		sum := AggSpec{Kind: AggSum, Attr: s.Attr, Where: s.Where}
-		cnt := AggSpec{Kind: AggCount, Where: s.Where}
-		num, err := sum.Compile()
-		if err != nil {
-			return nil, fmt.Errorf("aggregate %d: %w", i, err)
-		}
-		den, err := cnt.Compile()
-		if err != nil {
-			return nil, fmt.Errorf("aggregate %d: %w", i, err)
-		}
-		plan.entries = append(plan.entries, planEntry{num: len(plan.Aggs), den: len(plan.Aggs) + 1})
-		plan.Aggs = append(plan.Aggs, num, den)
-	}
-	return plan, nil
-}
-
-// Finish folds the physical results of the run back into one Result
-// per spec: pass-through for COUNT/SUM, RatioOf for AVG (renamed to
-// the spec's label). phys must be index-aligned with plan.Aggs, as
-// returned by a Run over them.
-func (p *AggPlan) Finish(phys []Result) []Result {
-	out := make([]Result, len(p.entries))
-	for i, e := range p.entries {
-		if e.den < 0 {
-			out[i] = phys[e.num]
-			continue
-		}
-		r := RatioOf(phys[e.num], phys[e.den])
-		r.Name = p.Specs[i].name()
-		out[i] = r
-	}
-	return out
 }

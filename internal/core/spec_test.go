@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -143,7 +144,7 @@ func TestAggSpecJSONRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(s, back) {
 			t.Fatalf("trial %d: round trip changed the spec: %s", trial, data)
 		}
-		if _, err := CompilePlan([]AggSpec{back}); err != nil {
+		if _, err := PlanBatch([]AggSpec{back}, PlanOptions{}); err != nil {
 			t.Fatalf("trial %d: round-tripped spec does not compile: %v", trial, err)
 		}
 	}
@@ -243,12 +244,12 @@ func TestSpecValidationRejects(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := CompilePlan(nil); err == nil {
-		t.Errorf("CompilePlan(nil): expected an error")
+	if _, err := PlanBatch(nil, PlanOptions{}); err == nil {
+		t.Errorf("PlanBatch(nil): expected an error")
 	}
 	avg := AvgSpec("rating")
-	if _, err := avg.Compile(); err == nil || !strings.Contains(err.Error(), "CompilePlan") {
-		t.Errorf("AvgSpec.Compile should direct to CompilePlan, got %v", err)
+	if _, err := avg.Compile(); err == nil || !strings.Contains(err.Error(), "PlanBatch") {
+		t.Errorf("AvgSpec.Compile should direct to PlanBatch, got %v", err)
 	}
 }
 
@@ -256,33 +257,45 @@ func TestSpecValidationRejects(t *testing.T) {
 // tests.
 func CountSpecPred() PredSpec { return TagEq("t", "v") }
 
-// TestCompilePlanAvg pins the AVG expansion: one avg spec becomes a
-// SUM/COUNT physical pair and Finish returns their ratio.
+// TestCompilePlanAvg pins the AVG expansion: one avg spec plans to a
+// SUM/COUNT physical pair and finishes as their ratio, while a COUNT
+// beside it passes straight through.
 func TestCompilePlanAvg(t *testing.T) {
-	plan, err := CompilePlan([]AggSpec{CountSpec(), AvgSpec("enrollment")})
+	plan, err := PlanBatch([]AggSpec{CountSpec(), AvgSpec("weight")}, PlanOptions{Seed: 3, MaxSamples: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Aggs) != 3 {
-		t.Fatalf("expected 3 physical aggregates (count + sum/count pair), got %d", len(plan.Aggs))
+	if len(plan.Groups) != 1 {
+		t.Fatalf("expected 1 group, got %d", len(plan.Groups))
 	}
-	phys := []Result{
-		{Name: plan.Aggs[0].Name, Estimate: 100, Samples: 10, Queries: 50},
-		{Name: plan.Aggs[1].Name, Estimate: 60000, StdErr: 10, Samples: 10, Queries: 50},
-		{Name: plan.Aggs[2].Name, Estimate: 120, StdErr: 2, Samples: 10, Queries: 50},
+	// COUNT(*) is shared by the explicit count and the AVG denominator.
+	if aggs := plan.Groups[0].Aggs; len(aggs) != 2 || aggs[0].Name != "COUNT(*)" || aggs[1].Name != "SUM(weight)" {
+		t.Fatalf("expected physicals [COUNT(*) SUM(weight)], got %v", aggs)
 	}
-	out := plan.Finish(phys)
-	if len(out) != 2 {
-		t.Fatalf("expected 2 finished results, got %d", len(out))
+	svc, _ := smallService(t, 60, 3, 4)
+	br, err := plan.Execute(context.Background(), svc, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out[0].Estimate != 100 {
-		t.Errorf("count passthrough: got %g", out[0].Estimate)
+	if len(br.Results) != 2 {
+		t.Fatalf("expected 2 finished results, got %d", len(br.Results))
 	}
-	if want := 60000.0 / 120.0; out[1].Estimate != want {
-		t.Errorf("avg ratio: got %g want %g", out[1].Estimate, want)
+	count, avg := br.Results[0], br.Results[1]
+	if count.Name != "COUNT(*)" || count.Samples != 20 {
+		t.Errorf("count passthrough: %+v", count)
 	}
-	if out[1].Name != "AVG(enrollment)" {
-		t.Errorf("avg name: got %q", out[1].Name)
+	// The numerator, replayed alone on the group's seed and samples.
+	ref, _ := smallService(t, 60, 3, 4)
+	sum, err := Run(context.Background(), NewLRAggregator(ref, DefaultLROptions(3)),
+		[]Aggregate{SumAttr("weight")}, WithMaxSamples(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sum[0].Estimate / count.Estimate; avg.Estimate != want {
+		t.Errorf("avg ratio: got %g want %g", avg.Estimate, want)
+	}
+	if avg.Name != "AVG(weight)" {
+		t.Errorf("avg name: got %q", avg.Name)
 	}
 }
 
@@ -293,16 +306,6 @@ func TestCompilePlanAvg(t *testing.T) {
 // JSONFloat then carries all three as null.)
 func TestCompilePlanAvgZeroCountUndefined(t *testing.T) {
 	never := AttrCmp("rating", "lt", -1) // Record.Attr floors at 0: always false
-	plan, err := CompilePlan([]AggSpec{AvgSpec("rating").WithWhere(never)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, _ := smallService(t, 40, 1, 2)
-	est := NewLRAggregator(svc, DefaultLROptions(5))
-	phys, err := Run(context.Background(), est, plan.Aggs, WithMaxSamples(30))
-	if err != nil {
-		t.Fatal(err)
-	}
 	check := func(label string, r Result) {
 		t.Helper()
 		if !math.IsNaN(r.Estimate) {
@@ -316,18 +319,17 @@ func TestCompilePlanAvgZeroCountUndefined(t *testing.T) {
 			t.Errorf("%s: samples %d, want 30", label, r.Samples)
 		}
 	}
-	check("CompilePlan", plan.Finish(phys)[0])
-
-	// Same pin through the planner path.
-	qp, err := PlanBatch([]AggSpec{AvgSpec("rating").WithWhere(never)},
-		PlanOptions{Seed: 5, MaxSamples: 30})
-	if err != nil {
-		t.Fatal(err)
+	for _, parallelism := range []int{1, 3} {
+		qp, err := PlanBatch([]AggSpec{AvgSpec("rating").WithWhere(never)},
+			PlanOptions{Seed: 5, MaxSamples: 30, Parallelism: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, _ := smallService(t, 40, 1, 2)
+		br, err := qp.Execute(context.Background(), svc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("PlanBatch/parallelism=%d", parallelism), br.Results[0])
 	}
-	svc2, _ := smallService(t, 40, 1, 2)
-	br, err := qp.Execute(context.Background(), svc2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("PlanBatch", br.Results[0])
 }

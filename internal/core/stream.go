@@ -2,14 +2,15 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 )
 
-// This file executes a QueryPlan as a streaming operator graph (see
-// planner.go for the plan shape). Each group runs its own sample
-// source; the executor interleaves groups in checkpoint-sized chunks
-// and re-allocates the remaining shared query budget across the
+// This file is the estimation engine: the one sample loop
+// (stream.run) that every Driver run and every plan group goes
+// through, and the executor of a QueryPlan as a streaming operator
+// graph (see planner.go for the plan shape). Each group runs its own
+// sample stream; the executor interleaves groups in checkpoint-sized
+// chunks and re-allocates the remaining shared query budget across the
 // still-unconverged groups by observed accumulator variance — the
 // groups that need more samples to reach the confidence target get
 // proportionally more of what is left.
@@ -97,23 +98,164 @@ type BatchResult struct {
 	DegradedSamples int
 }
 
-// groupState is one group's mutable execution state.
-type groupState struct {
-	est      Estimator
+// stream is one sample stream in execution: the worker estimators
+// that draw its samples, the physical aggregates they evaluate, and the
+// one accumulator set every completed sample folds into. A Driver run
+// is one stream; an executing QueryPlan runs one per group.
+type stream struct {
+	// ests are the step workers: the stream's estimator, then its
+	// Fork(1)..Fork(p−1).
+	ests     []Estimator
+	aggs     []Aggregate
 	accs     []Accumulator
 	samples  int
 	queries  int64
 	degraded int
 	done     bool
 	ciMet    bool
-	// progress buffers, reused per sample.
-	points  []TracePoint
-	partial []Result
+	// converged is the CI stopping rule, consulted after every step.
+	converged func() bool
+	// onSample, when set, runs after every folded sample with the
+	// sample's run-relative query count and degradation flag.
+	onSample func(q int64, degraded bool)
 }
 
-// resultOfAcc assembles a Result from one accumulator — the same
-// arithmetic as the Driver's finalize, so planned runs stay
-// bit-identical to independent ones.
+// newStream sets up a stream over est with p step workers (p ≤ 1
+// means serial). The forks are drawn before any sampling, so their
+// seeds do not depend on how the run goes.
+func newStream(est Estimator, aggs []Aggregate, p int) *stream {
+	if p < 1 {
+		p = 1
+	}
+	ests := make([]Estimator, p)
+	ests[0] = est
+	for i := 1; i < p; i++ {
+		ests[i] = est.Fork(int64(i))
+	}
+	return &stream{ests: ests, aggs: aggs, accs: make([]Accumulator, len(aggs))}
+}
+
+// stepped is one finished worker step handed back to the caller.
+type stepped struct {
+	worker int
+	m      int
+	vals   [][]float64
+	err    error
+	// queries is the service's QueryCount right after the step.
+	queries  int64
+	degraded bool
+}
+
+// run draws up to quota samples (quota ≤ 0: no quota) from the stream.
+// The calling goroutine makes every decision — quota, o.MaxSamples,
+// o.MaxQueries, ctx, the CI stop — and folds every sample in arrival
+// order; the workers only run stepBatch when handed a batch. With one
+// worker the step runs inline, so the per-sample order is exactly
+// check → step → fold → graceful stop → fatal error → CI. With more,
+// up to len(ests) batches are in flight at once. The caps and a
+// graceful stop only end dispatching: batches in flight finish and
+// fold. A fatal error or the CI rule ends the stream where it stands:
+// the steps in flight are canceled and their samples dropped, so the
+// reported state is the one the rule judged.
+//
+// run sets s.done when MaxSamples or the CI rule retires the stream,
+// reports exhausted when the shared budget (o.MaxQueries, the service,
+// or ctx) ends the whole run, and returns only fatal errors.
+func (s *stream) run(ctx context.Context, svc Oracle, startQ int64, quota int, o *PlanOptions) (exhausted bool, err error) {
+	p := len(s.ests)
+	stepCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	results := make(chan stepped, p)
+	idle := make([]int, p)
+	for i := range idle {
+		idle[i] = p - 1 - i // worker 0 first
+	}
+	step := func(w, m int) {
+		deg0 := degradedCount(svc)
+		vals, err := stepBatch(stepCtx, s.ests[w], s.aggs, m)
+		results <- stepped{worker: w, m: m, vals: vals, err: err, queries: svc.QueryCount(), degraded: degradedCount(svc) > deg0}
+	}
+	g0, q0 := svc.QueryCount(), s.queries
+	taken, reserved := 0, 0 // samples folded this call; samples in flight
+	for {
+		for len(idle) > 0 && !exhausted && err == nil && !s.ciMet {
+			m := o.Batch
+			if m < 1 {
+				m = 1
+			}
+			if quota > 0 {
+				left := quota - taken - reserved
+				if left <= 0 {
+					break
+				}
+				m = min(m, left)
+			}
+			if o.MaxSamples > 0 {
+				left := o.MaxSamples - s.samples - reserved
+				if left <= 0 {
+					s.done = true
+					break
+				}
+				m = min(m, left)
+			}
+			if o.MaxQueries > 0 && svc.QueryCount()-startQ >= o.MaxQueries {
+				exhausted = true
+				break
+			}
+			if ctx.Err() != nil {
+				break
+			}
+			w := idle[len(idle)-1]
+			idle = idle[:len(idle)-1]
+			reserved += m
+			if p == 1 {
+				step(w, m)
+			} else {
+				go step(w, m)
+			}
+		}
+		if len(idle) == p {
+			break
+		}
+		r := <-results
+		idle = append(idle, r.worker)
+		reserved -= r.m
+		if err != nil || s.ciMet {
+			continue // ended: drain the canceled steps, fold nothing
+		}
+		s.queries = q0 + svc.QueryCount() - g0
+		q := r.queries - startQ
+		for _, vals := range r.vals {
+			for j := range s.aggs {
+				s.accs[j].Add(vals[j])
+			}
+			s.samples++
+			taken++
+			if r.degraded {
+				s.degraded++
+			}
+			if s.onSample != nil {
+				s.onSample(q, r.degraded)
+			}
+		}
+		switch {
+		case stopErr(ctx, r.err):
+			exhausted = true
+		case r.err != nil:
+			err = r.err
+			cancel() // abort the other in-flight steps
+		case s.converged():
+			s.done, s.ciMet = true, true
+			cancel()
+		}
+	}
+	s.queries = q0 + svc.QueryCount() - g0
+	return exhausted, err
+}
+
+// resultOfAcc assembles a Result from one accumulator; Driver runs and
+// planned runs share it, so planned runs stay bit-identical to
+// independent ones.
 func resultOfAcc(name string, a *Accumulator, queries int64) Result {
 	return Result{
 		Name:     name,
@@ -127,7 +269,7 @@ func resultOfAcc(name string, a *Accumulator, queries int64) Result {
 
 // specResult finishes one spec of group gi from the group's fused
 // accumulators (RatioOf for AVG, pass-through otherwise).
-func (p *QueryPlan) specResult(gi, li int, st *groupState) Result {
+func (p *QueryPlan) specResult(gi, li int, st *stream) Result {
 	grp := &p.Groups[gi]
 	e := grp.entries[li]
 	name := p.Specs[grp.Specs[li]].name()
@@ -148,7 +290,7 @@ func (p *QueryPlan) specResult(gi, li int, st *groupState) Result {
 // undefined ratio (zero denominator) retires only once the
 // denominator is confidently zero — no observed variance — so a
 // selection that is merely rare keeps sampling.
-func (p *QueryPlan) groupCIMet(gi int, st *groupState) bool {
+func (p *QueryPlan) groupCIMet(gi int, st *stream) bool {
 	rel := p.opts.TargetCI
 	if rel <= 0 || st.samples < ciMinSamples {
 		return false
@@ -178,27 +320,29 @@ func (p *QueryPlan) groupCIMet(gi int, st *groupState) bool {
 	return true
 }
 
-// emitProgress streams one completed sample.
-func (p *QueryPlan) emitProgress(gi int, st *groupState, q int64, degraded bool, progress func(PlanProgress)) {
-	if progress == nil {
-		return
-	}
+// progressSink returns group gi's per-sample hook: it streams each
+// completed sample through progress, in buffers reused across calls.
+func (p *QueryPlan) progressSink(gi int, st *stream, progress func(PlanProgress)) func(q int64, degraded bool) {
 	grp := &p.Groups[gi]
-	for j := range grp.Aggs {
-		st.points[j] = TracePoint{Queries: q, Samples: st.accs[j].N(), Estimate: st.accs[j].Mean(), Degraded: degraded}
+	points := make([]TracePoint, len(grp.Aggs))
+	partial := make([]Result, len(grp.Specs))
+	return func(q int64, degraded bool) {
+		for j := range grp.Aggs {
+			points[j] = TracePoint{Queries: q, Samples: st.accs[j].N(), Estimate: st.accs[j].Mean(), Degraded: degraded}
+		}
+		for li := range grp.entries {
+			partial[li] = p.specResult(gi, li, st)
+		}
+		progress(PlanProgress{
+			Group:        gi,
+			Specs:        grp.Specs,
+			Points:       points,
+			Partial:      partial,
+			GroupSamples: st.samples,
+			GroupQueries: st.queries,
+			Degraded:     degraded,
+		})
 	}
-	for li := range grp.entries {
-		st.partial[li] = p.specResult(gi, li, st)
-	}
-	progress(PlanProgress{
-		Group:        gi,
-		Specs:        grp.Specs,
-		Points:       st.points,
-		Partial:      st.partial,
-		GroupSamples: st.samples,
-		GroupQueries: st.queries,
-		Degraded:     degraded,
-	})
 }
 
 // need estimates how many more samples group gi wants, from its
@@ -207,7 +351,7 @@ func (p *QueryPlan) emitProgress(gi int, st *groupState, q int64, degraded bool,
 // n·(ci/(rel·|est|))², so the need is that minus what it already has.
 // Before ciMinSamples (or with no target) the need falls back to one
 // checkpoint — "unknown, keep probing".
-func (p *QueryPlan) need(gi int, st *groupState) float64 {
+func (p *QueryPlan) need(gi int, st *stream) float64 {
 	unknown := float64(p.opts.CheckpointSamples)
 	if st.samples < ciMinSamples {
 		return unknown
@@ -243,13 +387,13 @@ func (p *QueryPlan) need(gi int, st *groupState) float64 {
 // allocate divides the next checkpoint's samples across the active
 // groups proportionally to their needs, scaled down when the modeled
 // query cost of the round would overrun the remaining shared budget.
-func (p *QueryPlan) allocate(round int, remaining int64, active []int, states []groupState) ([]int, ReplanEvent) {
+func (p *QueryPlan) allocate(round int, remaining int64, active []int, states []*stream) ([]int, ReplanEvent) {
 	base := p.opts.CheckpointSamples
 	ev := ReplanEvent{Round: round, RemainingQueries: remaining}
 	needs := make([]float64, len(active))
 	total := 0.0
 	for i, gi := range active {
-		needs[i] = p.need(gi, &states[gi])
+		needs[i] = p.need(gi, states[gi])
 		total += needs[i]
 	}
 	quotas := make([]int, len(active))
@@ -275,7 +419,7 @@ func (p *QueryPlan) allocate(round int, remaining int64, active []int, states []
 		perSample := make([]float64, len(active))
 		for i, gi := range active {
 			perSample[i] = p.Groups[gi].CostPerSample
-			if st := &states[gi]; st.samples > 0 {
+			if st := states[gi]; st.samples > 0 {
 				perSample[i] = float64(st.queries) / float64(st.samples)
 			}
 			cost += float64(quotas[i]) * perSample[i]
@@ -298,73 +442,6 @@ func (p *QueryPlan) allocate(round int, remaining int64, active []int, states []
 	return quotas, ev
 }
 
-// runGroupChunk draws up to quota samples from group gi, mirroring the
-// serial Driver's per-sample check order (sample cap → shared budget →
-// context → step → fold/stream → graceful stop → CI) so a single-group
-// plan reproduces a legacy Run sample for sample. Sets *exhausted when
-// the shared budget ends the whole batch; returns only fatal errors.
-func (p *QueryPlan) runGroupChunk(ctx context.Context, gi int, st *groupState, svc Oracle, startQ int64, quota int, progress func(PlanProgress), exhausted *bool) error {
-	grp := &p.Groups[gi]
-	taken := 0
-	for {
-		if taken >= quota {
-			return nil
-		}
-		if p.opts.MaxSamples > 0 && st.samples >= p.opts.MaxSamples {
-			st.done = true
-			return nil
-		}
-		if p.opts.MaxQueries > 0 && svc.QueryCount()-startQ >= p.opts.MaxQueries {
-			*exhausted = true
-			return nil
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
-		m := p.opts.Batch
-		if m < 1 {
-			m = 1
-		}
-		if rem := quota - taken; rem < m {
-			m = rem
-		}
-		if p.opts.MaxSamples > 0 {
-			if rem := p.opts.MaxSamples - st.samples; rem < m {
-				m = rem
-			}
-		}
-		gStart := svc.QueryCount()
-		deg0 := degradedCount(svc)
-		batchVals, err := stepBatch(ctx, st.est, grp.Aggs, m)
-		st.queries += svc.QueryCount() - gStart
-		q := svc.QueryCount() - startQ
-		degraded := degradedCount(svc) > deg0
-		for _, vals := range batchVals {
-			for j := range grp.Aggs {
-				st.accs[j].Add(vals[j])
-			}
-			st.samples++
-			taken++
-			if degraded {
-				st.degraded++
-			}
-			p.emitProgress(gi, st, q, degraded, progress)
-		}
-		if stopErr(ctx, err) {
-			*exhausted = true
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if p.groupCIMet(gi, st) {
-			st.done = true
-			st.ciMet = true
-			return nil
-		}
-	}
-}
-
 // Execute runs the plan against svc: group sample streams interleaved
 // at checkpoint grain, the shared budget re-allocated by variance at
 // every boundary, every completed sample streamed through progress
@@ -374,19 +451,21 @@ func (p *QueryPlan) runGroupChunk(ctx context.Context, gi int, st *groupState, s
 // BatchResult, like the Driver (an error is returned only when not
 // even one sample finished, or on a non-graceful transport failure).
 //
-// A QueryPlan must be executed at most once: its fused aggregates and
-// estimators carry run state.
+// Each group runs PlanOptions.Parallelism step workers (see
+// stream.run); its samples fold into the group's one accumulator set,
+// and progress is called on the goroutine that called Execute. Every
+// call builds fresh estimators, so a plan may be executed repeatedly.
 func (p *QueryPlan) Execute(ctx context.Context, svc Oracle, progress func(PlanProgress)) (*BatchResult, error) {
 	startQ := svc.QueryCount()
-	states := make([]groupState, len(p.Groups))
+	states := make([]*stream, len(p.Groups))
 	for i := range states {
 		grp := &p.Groups[i]
-		states[i] = groupState{
-			est:     newPlanEstimator(grp.Method, svc, grp.Seed),
-			accs:    make([]Accumulator, len(grp.Aggs)),
-			points:  make([]TracePoint, len(grp.Aggs)),
-			partial: make([]Result, len(grp.Specs)),
+		st := newStream(newPlanEstimator(grp.Method, svc, grp.Seed), grp.Aggs, p.opts.Parallelism)
+		st.converged = func() bool { return p.groupCIMet(i, st) }
+		if progress != nil {
+			st.onSample = p.progressSink(i, st, progress)
 		}
+		states[i] = st
 	}
 
 	var replans []ReplanEvent
@@ -416,7 +495,8 @@ func (p *QueryPlan) Execute(ctx context.Context, svc Oracle, progress func(PlanP
 			if exhausted || ctx.Err() != nil {
 				break
 			}
-			if err := p.runGroupChunk(ctx, gi, &states[gi], svc, startQ, quotas[i], progress, &exhausted); err != nil {
+			var err error
+			if exhausted, err = states[gi].run(ctx, svc, startQ, quotas[i], &p.opts); err != nil {
 				return nil, err
 			}
 		}
@@ -427,10 +507,7 @@ func (p *QueryPlan) Execute(ctx context.Context, svc Oracle, progress func(PlanP
 		total += states[i].samples
 	}
 	if total == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: budget exhausted before completing a single sample")
+		return nil, noSampleErr(ctx)
 	}
 
 	degradedTotal := 0
@@ -447,7 +524,7 @@ func (p *QueryPlan) Execute(ctx context.Context, svc Oracle, progress func(PlanP
 	}
 	for gi := range p.Groups {
 		grp := &p.Groups[gi]
-		st := &states[gi]
+		st := states[gi]
 		names := make([]string, len(grp.Aggs))
 		for j := range grp.Aggs {
 			names[j] = grp.Aggs[j].Name

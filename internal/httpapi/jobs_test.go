@@ -47,9 +47,13 @@ func TestEstimateMatchesInProcessRun(t *testing.T) {
 			ctx := context.Background()
 
 			// In-process reference run (its own identical service).
-			plan, err := core.CompilePlan(specs)
-			if err != nil {
-				t.Fatal(err)
+			aggs := make([]core.Aggregate, len(specs))
+			for i := range specs {
+				agg, err := specs[i].Compile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				aggs[i] = agg
 			}
 			ref := jobsTestService(t, 250, budget)
 			var est core.Estimator
@@ -59,11 +63,10 @@ func TestEstimateMatchesInProcessRun(t *testing.T) {
 			case jobs.MethodLR:
 				est = core.NewLRAggregator(ref, core.DefaultLROptions(42))
 			}
-			phys, err := core.Run(ctx, est, plan.Aggs)
+			want, err := core.Run(ctx, est, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := plan.Finish(phys)
 
 			// The same run, submitted as a server-side job.
 			srv := httptest.NewServer(NewServer(jobsTestService(t, 250, budget)))

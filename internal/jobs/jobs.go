@@ -6,8 +6,7 @@
 // shared sample streams, fused operators, variance-driven budget
 // allocation across method groups) and wires it to a job-scoped budget
 // querier (lbs.ScopedQuerier), so concurrent jobs share the service's
-// budget and cache while each keeps its own cost meter and cap.
-// Parallel jobs (Parallelism > 1) keep the fork/merge driver. The
+// budget and cache while each keeps its own cost meter and cap. The
 // HTTP layer of internal/httpapi exposes the manager as
 // POST /v1/estimate, GET/DELETE /v1/jobs/{id} and the NDJSON trace
 // stream GET /v1/jobs/{id}/trace.
@@ -72,12 +71,13 @@ type RunOptions struct {
 	// stopping rule (0 = unlimited).
 	MaxQueries int64 `json:"max_queries,omitempty"`
 	// TargetCI stops the run once every aggregate's 95 % confidence
-	// half-width falls below rel × |estimate| (0 disables). On the
-	// planner path (Parallelism ≤ 1) the rule is per requested
-	// aggregate — AVG specs converge on their delta-method ratio CI —
-	// and retires each method group independently.
+	// half-width falls below rel × |estimate| (0 disables). The rule
+	// is per requested aggregate — AVG specs converge on their
+	// delta-method ratio CI — and retires each method group
+	// independently.
 	TargetCI float64 `json:"target_ci,omitempty"`
-	// Parallelism draws samples from n concurrent estimator forks.
+	// Parallelism draws each method group's samples from n concurrent
+	// estimator forks.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Batch draws up to m samples per oracle round-trip.
 	Batch int `json:"batch,omitempty"`
@@ -229,10 +229,8 @@ type PlanGroupView struct {
 	CIMet         bool    `json:"ci_met,omitempty"`
 }
 
-// PlanView is the wire form of a job's compiled query plan: present on
-// jobs run through the multi-aggregate planner (Parallelism ≤ 1),
-// absent on legacy parallel jobs. Purely additive to the job view, so
-// pre-planner clients keep decoding.
+// PlanView is the wire form of a job's compiled query plan. Purely
+// additive to the job view, so pre-planner clients keep decoding.
 type PlanView struct {
 	// Preds is the number of distinct canonical predicates across the
 	// whole batch (requested aggregates ≥ Preds means sharing).
@@ -262,13 +260,12 @@ type View struct {
 	// TraceLen is the number of trace events recorded so far.
 	TraceLen int `json:"trace_len"`
 	// Results are final when State is done, the latest partials while
-	// running or canceled mid-run. On the planner path there is one
-	// entry per requested aggregate (its per-aggregate status: AVG specs
-	// report their finished ratio, Samples/Queries the owning group's
-	// account).
+	// running or canceled mid-run: one entry per requested aggregate
+	// (its per-aggregate status: AVG specs report their finished ratio,
+	// Samples/Queries the owning group's account).
 	Results []ResultView `json:"results,omitempty"`
-	// Plan describes the compiled multi-aggregate plan (planner path
-	// only).
+	// Plan describes the compiled multi-aggregate plan (absent on
+	// recovered jobs stored before plans were reported).
 	Plan *PlanView `json:"plan,omitempty"`
 	// Resumed marks a job recovered from a durable store and re-run
 	// after a restart (same ID, seed and budget as the original
@@ -332,8 +329,7 @@ type Job struct {
 	ID   string
 	Spec Spec
 
-	plan   *core.AggPlan   // legacy path (Parallelism > 1)
-	qplan  *core.QueryPlan // planner path (Parallelism ≤ 1)
+	plan   *core.QueryPlan
 	scoped *lbs.ScopedQuerier
 	// tol absorbs partial-federation annotations under the scope so
 	// estimators see clean answers; its counters feed the job's
@@ -353,9 +349,8 @@ type Job struct {
 	err      error
 	lastCkpt int           // samples at the last durable checkpoint
 	frozen   *View         // recovered finished job: the stored view, verbatim
-	results  []core.Result // finished: plan-level results
-	partial  []core.Result // legacy running: physical partials from progress
-	// planner-path run state, fed by onPlanProgress.
+	results  []core.Result // finished: per requested aggregate
+	// run state, fed by onPlanProgress.
 	planPartial []core.Result     // per requested aggregate
 	planStats   []planGroupStat   // per method group, live
 	planDone    *core.BatchResult // final batch account
@@ -402,27 +397,19 @@ func (m *Manager) Create(spec Spec) (*Job, error) {
 // recovery passes the original ID back in so clients polling a
 // pre-restart job find it again.
 func (m *Manager) start(spec Spec, id string, resumed bool) (*Job, error) {
-	// Parallelism ≤ 1 runs through the multi-aggregate query planner:
+	// Every job runs through the multi-aggregate query planner:
 	// predicates dedup across the batch, same-selection aggregates fuse,
 	// and the job's budget is re-allocated across method groups by
-	// observed variance. Parallel jobs keep the legacy fork/merge driver
-	// (the planner's fused aggregates share per-record memos and are not
-	// safe for concurrent samplers); "auto" there resolves to lr.
-	var plan *core.AggPlan
-	var qplan *core.QueryPlan
-	var err error
-	if spec.Options.Parallelism > 1 {
-		plan, err = core.CompilePlan(spec.Aggregates)
-	} else {
-		qplan, err = core.PlanBatch(spec.Aggregates, core.PlanOptions{
-			Method:     spec.Method,
-			Seed:       spec.Seed,
-			MaxQueries: spec.Options.MaxQueries,
-			MaxSamples: spec.Options.MaxSamples,
-			TargetCI:   spec.Options.TargetCI,
-			Batch:      spec.Options.Batch,
-		})
-	}
+	// observed variance.
+	plan, err := core.PlanBatch(spec.Aggregates, core.PlanOptions{
+		Method:      spec.Method,
+		Seed:        spec.Seed,
+		MaxQueries:  spec.Options.MaxQueries,
+		MaxSamples:  spec.Options.MaxSamples,
+		TargetCI:    spec.Options.TargetCI,
+		Batch:       spec.Options.Batch,
+		Parallelism: spec.Options.Parallelism,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("jobs: %w", err)
 	}
@@ -446,7 +433,6 @@ func (m *Manager) start(spec Spec, id string, resumed bool) (*Job, error) {
 		ID:        id,
 		Spec:      spec,
 		plan:      plan,
-		qplan:     qplan,
 		scoped:    lbs.NewScopedQuerier(tol, spec.Options.MaxQueries),
 		tol:       tol,
 		cancel:    cancel,
@@ -546,87 +532,11 @@ func (m *Manager) Counts() map[State]int {
 	return out
 }
 
-// runOptions translates the wire options into Driver options for the
-// legacy (Parallelism > 1) path, always including the progress hook
-// that feeds the trace and partials.
-func (j *Job) runOptions() []core.RunOption {
-	o := j.Spec.Options
-	// The job keeps its own bounded trace window fed by progress;
-	// WithoutTrace stops the driver from accumulating a second,
-	// unbounded copy inside the Results.
-	opts := []core.RunOption{core.WithProgress(j.onProgress), core.WithoutTrace()}
-	if o.MaxSamples > 0 {
-		opts = append(opts, core.WithMaxSamples(o.MaxSamples))
-	}
-	if o.MaxQueries > 0 {
-		opts = append(opts, core.WithMaxQueries(o.MaxQueries))
-	}
-	if o.TargetCI > 0 {
-		opts = append(opts, core.WithTargetCI(o.TargetCI))
-	}
-	if o.Parallelism > 1 {
-		opts = append(opts, core.WithParallelism(o.Parallelism))
-	}
-	if o.Batch > 1 {
-		opts = append(opts, core.WithBatch(o.Batch))
-	}
-	return opts
-}
-
-// buildEstimator constructs the requested algorithm over the job's
-// budget scope, seeded by the job's seed.
-func buildEstimator(method string, svc core.Oracle, seed int64) core.Estimator {
-	switch method {
-	case MethodLNR:
-		return core.NewLNRAggregator(svc, core.LNROptions{Seed: seed})
-	case MethodNNO:
-		return core.NewNNOBaseline(svc, core.NNOOptions{Seed: seed})
-	default:
-		// MethodLR, or MethodAuto on the legacy parallel path (the
-		// backend returns locations, so auto resolves to lr — the same
-		// choice the planner's cost model makes).
-		return core.NewLRAggregator(svc, core.DefaultLROptions(seed))
-	}
-}
-
-// run executes the estimation and settles the job.
+// run executes the job's QueryPlan and settles the job.
 func (j *Job) run(ctx context.Context) {
 	defer close(j.done)
 	defer j.persistSettle() // runs after the settle below, before done closes
-	if j.qplan != nil {
-		j.runPlanned(ctx)
-		return
-	}
-	est := buildEstimator(j.Spec.Method, j.scoped, j.Spec.Seed)
-	results, err := core.Run(ctx, est, j.plan.Aggs, j.runOptions()...)
-
-	j.mu.Lock()
-	defer func() {
-		j.finishedAt = time.Now()
-		j.wakeLocked()
-		j.mu.Unlock()
-	}()
-	if results != nil {
-		j.results = j.plan.Finish(results)
-	}
-	switch {
-	case ctx.Err() != nil:
-		// Canceled: the driver returned whatever samples completed
-		// (err != nil only when not even one did).
-		j.state = StateCanceled
-		j.err = err
-	case err != nil:
-		j.state = StateFailed
-		j.err = err
-	default:
-		j.state = StateDone
-	}
-}
-
-// runPlanned executes the job's QueryPlan (the planner path) and
-// settles the job with the same state rules as the legacy driver.
-func (j *Job) runPlanned(ctx context.Context) {
-	br, err := j.qplan.Execute(ctx, j.scoped, j.onPlanProgress)
+	br, err := j.plan.Execute(ctx, j.scoped, j.onPlanProgress)
 
 	j.mu.Lock()
 	defer func() {
@@ -652,54 +562,21 @@ func (j *Job) runPlanned(ctx context.Context) {
 	}
 }
 
-// onProgress is the Driver's per-sample callback: it appends one trace
-// event per physical aggregate and refreshes the partial results. It
-// runs on the driver's collector goroutine.
-func (j *Job) onProgress(points []core.TracePoint) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.partial == nil {
-		j.partial = make([]core.Result, len(j.plan.Aggs))
-	}
-	if len(points) > 0 && points[0].Degraded {
-		j.degraded++
-	}
-	for i, tp := range points {
-		name := j.plan.Aggs[i].Name
-		j.trace = append(j.trace, TraceEvent{
-			Agg:      name,
-			Queries:  tp.Queries,
-			Samples:  tp.Samples,
-			Estimate: JSONFloat(tp.Estimate),
-			Degraded: tp.Degraded,
-		})
-		j.partial[i] = core.Result{
-			Name:     name,
-			Estimate: tp.Estimate,
-			Samples:  tp.Samples,
-			Queries:  tp.Queries,
-		}
-	}
-	j.trimTraceLocked()
-	j.maybeCheckpointLocked()
-	j.wakeLocked()
-}
-
-// onPlanProgress is Execute's per-sample callback on the planner path:
-// one trace event per fused physical aggregate of the sampled group,
+// onPlanProgress is Execute's per-sample callback: one trace event per
+// fused physical aggregate of the sampled group,
 // plus the group's finished per-spec partials. It runs on the job's
 // estimation goroutine.
 func (j *Job) onPlanProgress(pp core.PlanProgress) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.planPartial == nil {
-		j.planPartial = make([]core.Result, len(j.qplan.Specs))
+		j.planPartial = make([]core.Result, len(j.plan.Specs))
 		for i := range j.planPartial {
-			j.planPartial[i] = core.Result{Name: j.qplan.Specs[i].Name()}
+			j.planPartial[i] = core.Result{Name: j.plan.Specs[i].Name()}
 		}
-		j.planStats = make([]planGroupStat, len(j.qplan.Groups))
+		j.planStats = make([]planGroupStat, len(j.plan.Groups))
 	}
-	grp := &j.qplan.Groups[pp.Group]
+	grp := &j.plan.Groups[pp.Group]
 	if pp.Degraded {
 		j.degraded++
 	}
@@ -788,30 +665,19 @@ func (j *Job) viewLocked() View {
 	}
 	results := j.results
 	if results == nil {
-		switch {
-		case j.qplan == nil && j.partial != nil:
-			results = j.plan.Finish(j.partial)
-		case j.qplan != nil && j.planPartial != nil:
-			results = j.planPartial
-		}
+		results = j.planPartial
 	}
 	for _, r := range results {
 		v.Results = append(v.Results, resultViewOf(r))
 	}
-	if len(results) > 0 {
-		v.Samples = results[0].Samples
-	}
-	if j.qplan != nil {
-		v.Plan = j.planViewLocked()
-		// With several method groups each spec reports its own group's
-		// samples; the job-level count is the total across groups.
-		v.Samples = 0
-		if j.planDone != nil {
-			v.Samples = j.planDone.Samples
-		} else {
-			for _, st := range j.planStats {
-				v.Samples += st.Samples
-			}
+	v.Plan = j.planViewLocked()
+	// With several method groups each spec reports its own group's
+	// samples; the job-level count is the total across groups.
+	if j.planDone != nil {
+		v.Samples = j.planDone.Samples
+	} else {
+		for _, st := range j.planStats {
+			v.Samples += st.Samples
 		}
 	}
 	return v
@@ -821,7 +687,7 @@ func (j *Job) viewLocked() View {
 // the compiled plan and the live (or final) group accounts; callers
 // hold j.mu.
 func (j *Job) planViewLocked() *PlanView {
-	p := j.qplan
+	p := j.plan
 	pv := &PlanView{Preds: p.Preds}
 	for gi := range p.Groups {
 		g := &p.Groups[gi]

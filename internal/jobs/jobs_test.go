@@ -189,10 +189,10 @@ func TestFollowTraceReplaysAndFollows(t *testing.T) {
 }
 
 func TestTraceWindowBounded(t *testing.T) {
-	// Drive onProgress directly far past the window: memory must stay
-	// bounded and followers must resume at the earliest retained event
-	// with absolute indexing intact.
-	plan, err := core.CompilePlan([]core.AggSpec{core.CountSpec()})
+	// Drive onPlanProgress directly far past the window: memory must
+	// stay bounded and followers must resume at the earliest retained
+	// event with absolute indexing intact.
+	plan, err := core.PlanBatch([]core.AggSpec{core.CountSpec()}, core.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,12 @@ func TestTraceWindowBounded(t *testing.T) {
 	}
 	total := maxTraceEvents + maxTraceEvents/2 + 123
 	for i := 0; i < total; i++ {
-		j.onProgress([]core.TracePoint{{Samples: i + 1, Queries: int64(i), Estimate: 1}})
+		j.onPlanProgress(core.PlanProgress{
+			Specs:        []int{0},
+			Points:       []core.TracePoint{{Samples: i + 1, Queries: int64(i), Estimate: 1}},
+			Partial:      []core.Result{{Samples: i + 1, Estimate: 1}},
+			GroupSamples: i + 1,
+		})
 	}
 	j.mu.Lock()
 	j.state = StateDone
@@ -359,7 +364,7 @@ func TestJobViewCarriesPlan(t *testing.T) {
 	if len(g.Specs) != 3 || g.Samples != 8 || g.Queries == 0 || !sameSamples(v, 8) {
 		t.Fatalf("group account off: %+v (view samples %d)", g, v.Samples)
 	}
-	// Parallel jobs take the legacy driver and carry no plan.
+	// Parallel jobs run through the same planner and carry its plan.
 	jp, err := m.Create(Spec{
 		Method:     MethodLR,
 		Seed:       3,
@@ -369,8 +374,42 @@ func TestJobViewCarriesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vp := waitSettled(t, jp); vp.Plan != nil {
-		t.Fatalf("legacy parallel job unexpectedly carries a plan: %+v", vp.Plan)
+	vp := waitSettled(t, jp)
+	if vp.State != StateDone || vp.Plan == nil || len(vp.Plan.Groups) != 1 ||
+		vp.Plan.Groups[0].Samples != 8 || !sameSamples(vp, 8) {
+		t.Fatalf("parallel job: state %s, plan %+v, samples %d; want done with 1 group of 8 samples",
+			vp.State, vp.Plan, vp.Samples)
+	}
+}
+
+// TestParallelJobMeetsTargetCI: a parallel job with a confidence
+// target retires its group on the CI rule (ci_met) well before its
+// sample cap, and its reported interval meets the target.
+func TestParallelJobMeetsTargetCI(t *testing.T) {
+	m := NewManager(testBackend(t, 0), ManagerOptions{})
+	const target, maxSamples = 0.2, 5000
+	j, err := m.Create(Spec{
+		Method:     MethodLR,
+		Seed:       9,
+		Aggregates: []core.AggSpec{core.CountSpec()},
+		Options:    RunOptions{MaxSamples: maxSamples, TargetCI: target, Parallelism: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := waitSettled(t, j)
+	if v.State != StateDone {
+		t.Fatalf("state %s (err %q), want done", v.State, v.Error)
+	}
+	if v.Plan == nil || len(v.Plan.Groups) != 1 || !v.Plan.Groups[0].CIMet {
+		t.Fatalf("plan %+v: want one group with ci_met", v.Plan)
+	}
+	r := v.Results[0]
+	if r.Samples >= maxSamples {
+		t.Fatalf("ran %d samples: the CI rule never stopped the job", r.Samples)
+	}
+	if float64(r.CI95) > target*float64(r.Estimate) {
+		t.Fatalf("ci95 %v exceeds the target %v × %v", r.CI95, target, r.Estimate)
 	}
 }
 

@@ -15,7 +15,7 @@ package jobs
 //	          never silently vanishes.
 //
 // Resume-by-re-run is the honest checkpoint for a Monte-Carlo
-// estimator: the sampler's RNG stream and fused-operator memos do not
+// estimator: the sampler's RNG stream and estimator state do not
 // serialize, but the run is a pure function of (spec, seed, budget),
 // so replaying from sample zero reproduces the interrupted run
 // exactly. The periodic view checkpoints are what clients see while
@@ -212,13 +212,8 @@ func (j *Job) maybeCheckpointLocked() {
 		return
 	}
 	samples := 0
-	switch {
-	case j.qplan != nil:
-		for _, st := range j.planStats {
-			samples += st.Samples
-		}
-	case j.partial != nil && len(j.partial) > 0:
-		samples = j.partial[0].Samples
+	for _, st := range j.planStats {
+		samples += st.Samples
 	}
 	if samples-j.lastCkpt < j.ckptEvery {
 		return

@@ -482,7 +482,11 @@ func (t *Tree) KNNWithinInto(q geom.Point, k int, maxDist float64, filter func(i
 			if fr.plane2 > maxDist2 {
 				continue
 			}
-			if len(h) == k && fr.plane2 >= h[0].Dist*h[0].Dist {
+			// Every point behind the plane has Dist ≥ √plane2 (rounding
+			// is monotone), so the subtree is skipped only when all of
+			// it is strictly worse: an equal-Dist point with a smaller
+			// Index may still displace the k-th best.
+			if len(h) == k && math.Sqrt(fr.plane2) > h[0].Dist {
 				continue
 			}
 			off = fr.off

@@ -194,6 +194,35 @@ func TestDuplicatePoints(t *testing.T) {
 	}
 }
 
+// TestLatticeTiesMatchBruteForce pins the (Dist, Index) order on exact
+// distance ties: a 12×12 integer lattice plus 60 duplicated points,
+// queried at half-lattice points where many points sit at one
+// distance, including points on a splitting plane exactly at the k-th
+// distance. An equal-distance point with a smaller index must not be
+// pruned with its subtree.
+func TestLatticeTiesMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var pts []geom.Point
+	for x := 0; x < 12; x++ {
+		for y := 0; y < 12; y++ {
+			pts = append(pts, geom.Pt(float64(x), float64(y)))
+		}
+	}
+	for i := 0; i < 60; i++ {
+		pts = append(pts, pts[rng.Intn(144)])
+	}
+	tr := Build(pts)
+	for trial := 0; trial < 2000; trial++ {
+		q := geom.Pt(float64(rng.Intn(25))/2, float64(rng.Intn(25))/2)
+		k := 1 + rng.Intn(12)
+		got := tr.KNN(q, k, nil)
+		want := bruteKNN(pts, q, k, math.Inf(1), nil)
+		if !sameNeighbors(got, want) {
+			t.Fatalf("q=%v k=%d: got %v, want %v", q, k, got, want)
+		}
+	}
+}
+
 func TestNearestDist(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 4)}
 	tr := Build(pts)

@@ -173,6 +173,12 @@ func (sh *cacheShard) len() int {
 // Records are returned by reference: callers must treat cached answers
 // as immutable, exactly as they must treat the simulator's shared
 // Attrs/Tags maps.
+//
+// Concurrent misses on one key are not deduplicated: every call that
+// finds the key absent forwards to the inner service (and is charged
+// for it), and the last answer stored wins. A call that starts after
+// an answer was stored hits unless the entry was since evicted or
+// invalidated.
 type CachedOracle struct {
 	inner   Querier
 	quantum float64

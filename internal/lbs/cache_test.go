@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/geom"
@@ -202,7 +203,10 @@ func TestCacheBatchPartialBudget(t *testing.T) {
 
 // TestCacheConcurrent drives overlapping point sets from many
 // goroutines (run under -race): every answer must be consistent with
-// the uncached service and the hit/miss accounting must add up.
+// the uncached service and the hit/miss accounting must add up. The
+// cache does not dedup concurrent misses on one key, so the miss bound
+// allows one extra miss per call that started while another call on
+// the same point was still in flight.
 func TestCacheConcurrent(t *testing.T) {
 	db := testDB(t)
 	svc := NewService(db, Options{K: 2})
@@ -222,6 +226,8 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 
 	const goroutines, rounds = 8, 40
+	inflight := make([]atomic.Int32, len(pts))
+	var overlapped atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -230,6 +236,9 @@ func TestCacheConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for r := 0; r < rounds; r++ {
 				i := rng.Intn(len(pts))
+				if inflight[i].Add(1) > 1 {
+					overlapped.Add(1)
+				}
 				var recs []LRRecord
 				var err error
 				if r%3 == 0 {
@@ -241,6 +250,7 @@ func TestCacheConcurrent(t *testing.T) {
 				} else {
 					recs, err = c.QueryLR(ctx, pts[i], nil)
 				}
+				inflight[i].Add(-1)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
@@ -261,8 +271,11 @@ func TestCacheConcurrent(t *testing.T) {
 	if svc.QueryCount() != st.Misses {
 		t.Errorf("inner queries %d != misses %d", svc.QueryCount(), st.Misses)
 	}
-	if st.Misses > int64(len(pts))+st.Evictions {
-		t.Errorf("misses %d exceed distinct points %d + evictions %d", st.Misses, len(pts), st.Evictions)
+	// A miss is the first for its point, follows an eviction, or
+	// overlapped another call on the same point still in flight.
+	if bound := int64(len(pts)) + st.Evictions + overlapped.Load(); st.Misses > bound {
+		t.Errorf("misses %d exceed distinct points %d + evictions %d + overlapped calls %d",
+			st.Misses, len(pts), st.Evictions, overlapped.Load())
 	}
 }
 

@@ -36,9 +36,9 @@
 //   - WithProgress(fn) — stream a TracePoint per aggregate after every
 //     completed sample;
 //   - WithParallelism(n) — draw samples from n concurrent workers
-//     (independent estimator forks) and merge their accumulator
-//     states; against a latency-bound remote service the wall-clock
-//     time shrinks almost linearly in n.
+//     (independent estimator forks), folded into one accumulator set;
+//     against a latency-bound remote service the wall-clock time
+//     shrinks almost linearly in n.
 //   - WithBatch(m) — draw up to m point samples per oracle call
 //     through the batch query path (see below), amortizing network
 //     round-trips and budget/limiter synchronization.
@@ -56,17 +56,16 @@
 // JSON-serializable predicate AST — AttrCmp, TagEq, InRect, combined
 // with And/Or/Not — plus aggregate specs built from CountSpec,
 // SumSpec(attr) and AvgSpec(attr), each optionally restricted with
-// WithWhere. CompilePlan compiles a request's spec list once into the
-// closure form the estimators execute (AVG expands into a SUM/COUNT
-// pair finished through RatioOf), so the declarative layer costs
-// nothing per sample:
+// WithWhere. PlanBatch (below) compiles a request's spec list once
+// into the closure form the estimators execute (AVG expands into a
+// SUM/COUNT pair finished through RatioOf), so the declarative layer
+// costs nothing per sample:
 //
-//	plan, err := lbsagg.CompilePlan([]lbsagg.AggSpec{
+//	plan, err := lbsagg.PlanBatch([]lbsagg.AggSpec{
 //		lbsagg.CountSpec(),
 //		lbsagg.AvgSpec("rating").WithWhere(lbsagg.TagEq("open_sunday", "yes")),
-//	})
-//	phys, err := agg.Run(ctx, plan.Aggs, lbsagg.WithMaxQueries(5000))
-//	results := plan.Finish(phys)
+//	}, lbsagg.PlanOptions{Seed: 42, MaxQueries: 5000})
+//	br, err := plan.Execute(ctx, svc, nil)   // br.Results per spec
 //
 // Because specs are plain data, the same aggregate request can travel
 // over the wire — which is what makes estimation jobs possible.
@@ -79,8 +78,7 @@
 // a streaming operator graph that shares work across the batch:
 //
 //   - predicates are canonicalized (and/or reordering folds away) and
-//     deduped, so each distinct selection compiles once and is
-//     evaluated at most once per returned record;
+//     deduped, so each distinct selection compiles once per group;
 //   - COUNT/SUM/AVG over the same selection fuse into shared physical
 //     aggregates (an AVG rides the same SUM and COUNT as its siblings);
 //   - specs group by compatible method, chosen per group by a small
@@ -94,10 +92,13 @@
 // Typical use:
 //
 //	plan, err := lbsagg.PlanBatch(specs, lbsagg.PlanOptions{
-//		Seed: 42, MaxQueries: 5000, TargetCI: 0.05,
+//		Seed: 42, MaxQueries: 5000, TargetCI: 0.05, Parallelism: 8,
 //	})
 //	br, err := plan.Execute(ctx, svc, nil)   // br.Results per spec
 //
+// Plans and single-estimator Runs execute through one sample loop:
+// PlanOptions.Parallelism (WithParallelism for a Run) draws each
+// group's samples from that many estimator forks at once.
 // Under a fixed per-group seed the planned estimates are bit-identical
 // to running each group's specs independently — sharing changes the
 // cost, never the numbers (pinned by the equivalence suite). A batch
@@ -217,12 +218,10 @@
 //
 //	db := lbsagg.NewDatabase(bounds, tuples)
 //	svc := lbsagg.NewService(db, lbsagg.ServiceOptions{K: 10})
-//	agg := lbsagg.NewLRAggregator(svc, lbsagg.DefaultLROptions(42))
-//	plan, err := lbsagg.CompilePlan([]lbsagg.AggSpec{lbsagg.CountSpec()})
-//	phys, err := agg.Run(ctx, plan.Aggs,
-//		lbsagg.WithMaxQueries(5000),
-//		lbsagg.WithParallelism(8))
-//	res := plan.Finish(phys)
+//	plan, err := lbsagg.PlanBatch([]lbsagg.AggSpec{lbsagg.CountSpec()},
+//		lbsagg.PlanOptions{Seed: 42, MaxQueries: 5000, Parallelism: 8})
+//	br, err := plan.Execute(ctx, svc, nil)
+//	res := br.Results
 //
 // See examples/ for complete programs and internal/experiments for
 // the reproduction of every figure and table of the paper.
@@ -235,8 +234,6 @@
 //	agg.Run(aggs, maxSamples, maxQueries)
 //	  → agg.Run(ctx, aggs, lbsagg.WithMaxSamples(maxSamples),
 //	        lbsagg.WithMaxQueries(maxQueries))
-//	  → agg.RunBudget(aggs, maxSamples, maxQueries)   // deprecated shim,
-//	                                                  // one release only
 //	svc.QueryLR(q, filter)      → svc.QueryLR(ctx, q, filter)
 //	svc.QueryLNR(q, filter)     → svc.QueryLNR(ctx, q, filter)
 //	agg.Step(aggs)              → agg.Step(ctx, aggs)
@@ -247,7 +244,7 @@
 // closure constructors remain as thin deprecated shims that compile
 // the equivalent spec:
 //
-//	Count()                  → CountSpec()                 (via CompilePlan)
+//	Count()                  → CountSpec()                 (via PlanBatch)
 //	SumAttr(a)               → SumSpec(a)
 //	CountTag(t, v)           → CountSpec().WithWhere(TagEq(t, v))
 //	CountInRect(r)           → CountSpec().WithWhere(InRect(r))
@@ -644,8 +641,6 @@ type (
 	AggSpec = core.AggSpec
 	// RectSpec is the wire form of a rectangle.
 	RectSpec = core.RectSpec
-	// AggPlan is a compiled spec list: physical aggregates + finisher.
-	AggPlan = core.AggPlan
 )
 
 // Predicate constructors.
@@ -682,8 +677,6 @@ var (
 	SumSpec = core.SumSpec
 	// AvgSpec builds AVG(attr) (a SUM/COUNT pair under the hood).
 	AvgSpec = core.AvgSpec
-	// CompilePlan compiles a spec list into an executable AggPlan.
-	CompilePlan = core.CompilePlan
 )
 
 // Multi-aggregate query planner types (API v4; see the package
@@ -693,8 +686,8 @@ type (
 	// shared run bounds and the checkpoint re-plan grain.
 	PlanOptions = core.PlanOptions
 	// QueryPlan is a compiled multi-aggregate batch: method groups of
-	// fused physical aggregates over deduped predicates. Single-use;
-	// run it with Execute.
+	// fused physical aggregates over deduped predicates. Run it with
+	// Execute.
 	QueryPlan = core.QueryPlan
 	// PlanGroup is one method group of a QueryPlan.
 	PlanGroup = core.PlanGroup
@@ -722,7 +715,8 @@ var PlanBatch = core.PlanBatch
 // Estimator types.
 type (
 	// Aggregate is the compiled (closure) form of an aggregate; build
-	// it from AggSpec via CompilePlan.
+	// it from a COUNT/SUM AggSpec via AggSpec.Compile, or let PlanBatch
+	// compile a whole request.
 	Aggregate = core.Aggregate
 	// Record is the estimator-visible view of a returned tuple.
 	Record = core.Record
@@ -795,7 +789,7 @@ func NewNNOBaseline(svc Oracle, opts NNOOptions) *NNOBaseline {
 // Closure-form aggregate constructors.
 //
 // Deprecated: prefer the declarative spec constructors (CountSpec,
-// SumSpec, AvgSpec with WithWhere) compiled through CompilePlan —
+// SumSpec, AvgSpec with WithWhere) compiled through PlanBatch —
 // specs serialize to JSON and can be submitted as remote jobs. The
 // closure forms remain for selection conditions that need arbitrary
 // Go code.

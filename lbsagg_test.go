@@ -110,15 +110,15 @@ func TestFacadeFederation(t *testing.T) {
 	}
 	// An estimator runs over the router unchanged.
 	agg := lbsagg.NewLRAggregator(router, lbsagg.DefaultLROptions(42))
-	plan, err := lbsagg.CompilePlan([]lbsagg.AggSpec{lbsagg.CountSpec()})
+	count := lbsagg.CountSpec()
+	cnt, err := count.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	phys, err := agg.Run(ctx, plan.Aggs, lbsagg.WithMaxSamples(5))
+	res, err := agg.Run(ctx, []lbsagg.Aggregate{cnt}, lbsagg.WithMaxSamples(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := plan.Finish(phys)
 	if len(res) != 1 || res[0].Samples != 5 {
 		t.Fatalf("federated estimator run: %+v", res)
 	}
