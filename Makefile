@@ -29,12 +29,14 @@ perfbench-check:
 	cd perfbench && $(GO) test ./...
 
 # fuzz-smoke runs every fuzz target for FUZZTIME each (go test
-# accepts one -fuzz target per package run): the spec planner and the
-# store's record decoder must survive arbitrary input.
+# accepts one -fuzz target per package run): the spec planner, the
+# HTTP answer codec and the store's record decoder must survive
+# arbitrary input.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanBatch$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzAnswerCodec$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/store
 
 # bench runs the estimation-session benchmarks; the Parallelism pair

@@ -310,3 +310,58 @@ func TestServerOverCachedBackend(t *testing.T) {
 		t.Errorf("cache hits = %d, want 4", st.Hits)
 	}
 }
+
+// TestClientBatchRejectsMalformedAnswers: the client accepts a batch
+// response only when it answers every point and each null answer is
+// explained — by budget exhaustion or a partial-dropped annotation.
+// A short batch or an unexplained hole is an error, never nil records
+// with a nil error.
+func TestClientBatchRejectsMalformedAnswers(t *testing.T) {
+	var body, dropped string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/meta" {
+			writeJSON(w, http.StatusOK, metaResponse{K: 1, MaxX: 1, MaxY: 1})
+			return
+		}
+		if dropped != "" {
+			w.Header().Set(headerPartialDegraded, "0")
+			w.Header().Set(headerPartialDropped, dropped)
+		}
+		io.WriteString(w, body)
+	}))
+	defer ts.Close()
+	c, err := NewClient(context.Background(), ts.URL, Selection{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetRetryPolicy(NoRetry())
+	ctx := context.Background()
+	pts := []geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.9, 0.9)}
+	one := `{"results":[{"id":1,"x":0.5,"y":0.5,"dist":0.1}]}`
+
+	for _, bad := range []string{
+		`{"answers":[` + one + `]}`,
+		`{"answers":[` + one + `,` + one + `,` + one + `]}`,
+		`{"answers":[` + one + `,null]}`,
+		`{"answers":[null,null]}`,
+	} {
+		body = bad
+		if answers, err := c.QueryLRBatch(ctx, pts, nil); err == nil {
+			t.Errorf("body %s: accepted as %v", bad, answers)
+		}
+		if _, err := c.QueryLNRBatch(ctx, pts, nil); err == nil {
+			t.Errorf("body %s: LNR batch accepted", bad)
+		}
+	}
+
+	// The same hole, explained by exhaustion or by dropped members.
+	body = `{"answers":[` + one + `,null],"exhausted":true}`
+	if answers, err := c.QueryLRBatch(ctx, pts, nil); !errors.Is(err, lbs.ErrBudgetExhausted) || answers[0] == nil || answers[1] != nil {
+		t.Errorf("exhausted hole: %v, %v", answers, err)
+	}
+	body, dropped = `{"answers":[`+one+`,null]}`, "1"
+	answers, err := c.QueryLRBatch(ctx, pts, nil)
+	if pe, ok := lbs.AsPartial(err); !ok || pe.Dropped != 1 || answers[0] == nil || answers[1] != nil {
+		t.Errorf("dropped hole: %v, %v", answers, err)
+	}
+}

@@ -1,7 +1,13 @@
 // Package httpapi exposes a simulated LBS over HTTP and provides a
 // client that implements the estimators' Oracle interface — the
 // blueprint for running the algorithms against a real networked
-// service. Both sides use only net/http and encoding/json.
+// service. Both sides use only the standard library. The per-query
+// answer bodies (the GET endpoints and both :batch endpoints) go
+// through a hand-written JSON codec (codec.go) whose bytes are
+// identical to encoding/json's for the same answer, and whose decoder
+// accepts only what json.Unmarshal accepts and yields the same
+// records; FuzzAnswerCodec pins both. Everything else — batch request
+// bodies, errors, /v1/meta, jobs and stats — uses encoding/json.
 //
 // Wire protocol (JSON over GET, plus POST for batches):
 //
@@ -37,6 +43,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -76,21 +83,6 @@ type metaResponse struct {
 	// haversine). Absent on pre-geodesic servers, which clients read as
 	// euclidean.
 	Metric string `json:"metric,omitempty"`
-}
-
-type wireRecord struct {
-	ID       int64              `json:"id"`
-	X        *float64           `json:"x,omitempty"`
-	Y        *float64           `json:"y,omitempty"`
-	Dist     *float64           `json:"dist,omitempty"`
-	Name     string             `json:"name,omitempty"`
-	Category string             `json:"category,omitempty"`
-	Attrs    map[string]float64 `json:"attrs,omitempty"`
-	Tags     map[string]string  `json:"tags,omitempty"`
-}
-
-type queryResponse struct {
-	Results []wireRecord `json:"results"`
 }
 
 // codeBudgetExhausted marks a 429 caused by the service's hard query
@@ -160,15 +152,6 @@ type batchRequest struct {
 	Points   []wirePoint `json:"points"`
 	Name     string      `json:"name,omitempty"`
 	Category string      `json:"category,omitempty"`
-}
-
-type batchResponse struct {
-	// Answers is index-aligned with the request points; a null entry
-	// marks a point the budget could not cover.
-	Answers []*queryResponse `json:"answers"`
-	// Exhausted reports that the service budget died inside (or right
-	// at the end of) this batch.
-	Exhausted bool `json:"exhausted,omitempty"`
 }
 
 // maxBatchPoints caps the points per batch request and
@@ -305,15 +288,86 @@ func metricOf(q lbs.Querier) geo.Metric {
 	return geo.Euclidean
 }
 
-// parseQuery extracts the location and selection from the URL.
+// parseQuery extracts the location and selection from the URL. It
+// scans the raw query once instead of building url.Values, with the
+// same reading: pairs split on '&', a pair holding ';' or failing to
+// unescape is dropped, and the first occurrence of a key wins, as with
+// Values.Get. Coordinates must be finite: ParseFloat also reads NaN
+// and Inf, which locate nothing.
 func parseQuery(r *http.Request) (geom.Point, Selection, error) {
-	q := r.URL.Query()
-	x, errX := strconv.ParseFloat(q.Get("x"), 64)
-	y, errY := strconv.ParseFloat(q.Get("y"), 64)
+	var xs, ys string
+	var sel Selection
+	var seen [4]bool // x, y, name, category
+	for q := r.URL.RawQuery; q != ""; {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, val, _ := strings.Cut(pair, "=")
+		key, ok := queryUnescape(key)
+		if !ok {
+			continue
+		}
+		var dst *string
+		var i int
+		switch key {
+		case "x":
+			dst, i = &xs, 0
+		case "y":
+			dst, i = &ys, 1
+		case "name":
+			dst, i = &sel.Name, 2
+		case "category":
+			dst, i = &sel.Category, 3
+		default:
+			continue
+		}
+		if seen[i] {
+			continue
+		}
+		if *dst, ok = queryUnescape(val); ok {
+			seen[i] = true
+		}
+	}
+	x, errX := strconv.ParseFloat(xs, 64)
+	y, errY := strconv.ParseFloat(ys, 64)
 	if errX != nil || errY != nil {
 		return geom.Point{}, Selection{}, fmt.Errorf("invalid or missing x/y")
 	}
-	return geom.Pt(x, y), Selection{Name: q.Get("name"), Category: q.Get("category")}, nil
+	if !finite(x) || !finite(y) {
+		return geom.Point{}, Selection{}, fmt.Errorf("x/y must be finite")
+	}
+	return geom.Pt(x, y), sel, nil
+}
+
+// queryUnescape is url.QueryUnescape without the copy for the common
+// value that needs no unescaping.
+func queryUnescape(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
+}
+
+// writeAnswer renders a 200 answer body from a pooled buffer in one
+// Write, the trailing newline included as json.Encoder writes it. An
+// answer the codec refuses (a non-finite number) is a 500 instead,
+// decided before any header is written.
+func writeAnswer[T any](w http.ResponseWriter, v T, appendValue func([]byte, T) ([]byte, error)) {
+	buf := getBuf()
+	b, err := appendValue((*buf)[:0], v)
+	if err != nil {
+		putBuf(buf, b)
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
+	b = append(b, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	putBuf(buf, b)
 }
 
 func (s *Server) handleLR(w http.ResponseWriter, r *http.Request) {
@@ -330,21 +384,7 @@ func (s *Server) handleLR(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wireLR(recs))
-}
-
-// wireLR converts one LR answer to its wire shape.
-func wireLR(recs []lbs.LRRecord) queryResponse {
-	out := queryResponse{Results: make([]wireRecord, len(recs))}
-	for i, rec := range recs {
-		x, y, d := rec.Loc.X, rec.Loc.Y, rec.Dist
-		out.Results[i] = wireRecord{
-			ID: rec.ID, X: &x, Y: &y, Dist: &d,
-			Name: rec.Name, Category: rec.Category,
-			Attrs: rec.Attrs, Tags: rec.Tags,
-		}
-	}
-	return out
+	writeAnswer(w, recs, appendLRAnswer)
 }
 
 func (s *Server) handleLNR(w http.ResponseWriter, r *http.Request) {
@@ -361,19 +401,7 @@ func (s *Server) handleLNR(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wireLNR(recs))
-}
-
-// wireLNR converts one LNR answer to its wire shape.
-func wireLNR(recs []lbs.LNRRecord) queryResponse {
-	out := queryResponse{Results: make([]wireRecord, len(recs))}
-	for i, rec := range recs {
-		out.Results[i] = wireRecord{
-			ID: rec.ID, Name: rec.Name, Category: rec.Category,
-			Attrs: rec.Attrs, Tags: rec.Tags,
-		}
-	}
-	return out
+	writeAnswer(w, recs, appendLNRAnswer)
 }
 
 // parseBatch decodes and validates a batch request body. The body is
@@ -407,7 +435,7 @@ func parseBatch(w http.ResponseWriter, r *http.Request) ([]geom.Point, Selection
 // like the single-query path (429).
 func serveBatch[T any](s *Server, w http.ResponseWriter, r *http.Request,
 	query func(context.Context, []geom.Point, lbs.Filter) ([][]T, error),
-	wire func([]T) queryResponse) {
+	appendAnswer func([]byte, []T) ([]byte, error)) {
 
 	pts, sel, err := parseBatch(w, r)
 	if err != nil {
@@ -425,29 +453,25 @@ func serveBatch[T any](s *Server, w http.ResponseWriter, r *http.Request,
 		writeQueryError(w, err)
 		return
 	}
-	resp := batchResponse{Answers: make([]*queryResponse, len(answers)), Exhausted: exhausted}
 	served := false
-	for i, recs := range answers {
-		if recs == nil {
-			continue
-		}
-		qr := wire(recs)
-		resp.Answers[i] = &qr
-		served = true
+	for _, recs := range answers {
+		served = served || recs != nil
 	}
 	if exhausted && !served {
 		writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, answers, func(dst []byte, answers [][]T) ([]byte, error) {
+		return appendBatch(dst, answers, exhausted, appendAnswer)
+	})
 }
 
 func (s *Server) handleLRBatch(w http.ResponseWriter, r *http.Request) {
-	serveBatch(s, w, r, s.svc.QueryLRBatch, wireLR)
+	serveBatch(s, w, r, s.svc.QueryLRBatch, appendLRAnswer)
 }
 
 func (s *Server) handleLNRBatch(w http.ResponseWriter, r *http.Request) {
-	serveBatch(s, w, r, s.svc.QueryLNRBatch, wireLNR)
+	serveBatch(s, w, r, s.svc.QueryLNRBatch, appendLNRAnswer)
 }
 
 // Client is an HTTP implementation of the estimators' Oracle
@@ -530,39 +554,84 @@ func (c *Client) Metric() geo.Metric { return c.metric }
 // QueryCount implements core.Oracle.
 func (c *Client) QueryCount() int64 { return c.queries.Load() }
 
-// get performs one wire query with the client's retry policy; the
-// requests are built with ctx so the caller can cancel them in flight.
-func (c *Client) get(ctx context.Context, endpoint string, p geom.Point) (*queryResponse, error) {
-	v := url.Values{}
-	v.Set("x", strconv.FormatFloat(p.X, 'g', -1, 64))
-	v.Set("y", strconv.FormatFloat(p.Y, 'g', -1, 64))
-	if c.sel.Name != "" {
-		v.Set("name", c.sel.Name)
-	}
-	if c.sel.Category != "" {
-		v.Set("category", c.sel.Category)
-	}
-	resp, err := c.do(ctx, http.MethodGet, c.base+endpoint+"?"+v.Encode(), nil)
+// get performs one wire query with the client's retry policy and
+// decodes the answer into records with conv; the requests are built with ctx so
+// the caller can cancel them in flight. The URL and the body go
+// through one pooled buffer.
+func get[T any](c *Client, ctx context.Context, endpoint string, p geom.Point,
+	conv func(recordFields) T) ([]T, error) {
+
+	buf := getBuf()
+	b := c.appendQueryURL((*buf)[:0], endpoint, p)
+	resp, err := c.do(ctx, http.MethodGet, string(b), nil)
 	if err != nil {
+		putBuf(buf, b)
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		putBuf(buf, b)
 		e := decodeError(resp)
 		return nil, fmt.Errorf("httpapi: status %d: %s", resp.StatusCode, e.Error)
 	}
-	var out queryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("httpapi: decode: %w", err)
+	b, err = readBody(b, resp.Body)
+	var recs []T
+	if err == nil {
+		recs, err = parseAnswer(b, c.k, conv)
+	}
+	putBuf(buf, b)
+	if err != nil {
+		return nil, fmt.Errorf("httpapi: answer body: %w", err)
 	}
 	c.queries.Add(1)
 	// A degraded upstream answers 200 with the partial annotation in
 	// the headers; reconstruct it so local and remote callers see the
 	// same contract (records plus *lbs.PartialError).
 	if pe := partialOfHeaders(resp.Header); pe != nil {
-		return &out, pe
+		return recs, pe
 	}
-	return &out, nil
+	return recs, nil
+}
+
+// appendQueryURL appends the GET URL of one query. Parameters are in
+// the order url.Values.Encode sorts them into, escaped as it escapes
+// them, so the request line is the one it would build.
+func (c *Client) appendQueryURL(dst []byte, endpoint string, p geom.Point) []byte {
+	dst = append(dst, c.base...)
+	dst = append(dst, endpoint...)
+	dst = append(dst, '?')
+	if c.sel.Category != "" {
+		dst = append(dst, "category="...)
+		dst = appendQueryEscape(dst, c.sel.Category)
+		dst = append(dst, '&')
+	}
+	if c.sel.Name != "" {
+		dst = append(dst, "name="...)
+		dst = appendQueryEscape(dst, c.sel.Name)
+		dst = append(dst, '&')
+	}
+	var num [32]byte
+	dst = append(dst, "x="...)
+	dst = appendQueryEscape(dst, strconv.AppendFloat(num[:0], p.X, 'g', -1, 64))
+	dst = append(dst, "&y="...)
+	return appendQueryEscape(dst, strconv.AppendFloat(num[:0], p.Y, 'g', -1, 64))
+}
+
+// appendQueryEscape appends s escaped as url.QueryEscape escapes it.
+func appendQueryEscape[S ~string | ~[]byte](dst []byte, s S) []byte {
+	const upperHex = "0123456789ABCDEF"
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '-', c == '_', c == '.', c == '~':
+			dst = append(dst, c)
+		case c == ' ':
+			dst = append(dst, '+')
+		default:
+			dst = append(dst, '%', upperHex[c>>4], upperHex[c&0xf])
+		}
+	}
+	return dst
 }
 
 // QueryLR implements core.Oracle. filter must be nil: selections are
@@ -572,30 +641,7 @@ func (c *Client) QueryLR(ctx context.Context, p geom.Point, filter lbs.Filter) (
 	if filter != nil {
 		return nil, ErrPerCallFilter
 	}
-	out, err := c.get(ctx, "/v1/lr", p)
-	if err != nil && !lbs.IsPartial(err) {
-		return nil, err
-	}
-	return lrOfWire(out.Results), err
-}
-
-// lrOfWire decodes wire records into LR result rows.
-func lrOfWire(results []wireRecord) []lbs.LRRecord {
-	recs := make([]lbs.LRRecord, len(results))
-	for i, w := range results {
-		rec := lbs.LRRecord{
-			ID: w.ID, Name: w.Name, Category: w.Category,
-			Attrs: w.Attrs, Tags: w.Tags,
-		}
-		if w.X != nil && w.Y != nil {
-			rec.Loc = geom.Pt(*w.X, *w.Y)
-		}
-		if w.Dist != nil {
-			rec.Dist = *w.Dist
-		}
-		recs[i] = rec
-	}
-	return recs
+	return get(c, ctx, "/v1/lr", p, lrOfFields)
 }
 
 // QueryLNR implements core.Oracle (same filter restriction as QueryLR).
@@ -603,29 +649,18 @@ func (c *Client) QueryLNR(ctx context.Context, p geom.Point, filter lbs.Filter) 
 	if filter != nil {
 		return nil, ErrPerCallFilter
 	}
-	out, err := c.get(ctx, "/v1/lnr", p)
-	if err != nil && !lbs.IsPartial(err) {
-		return nil, err
-	}
-	return lnrOfWire(out.Results), err
+	return get(c, ctx, "/v1/lnr", p, lnrOfFields)
 }
 
-// lnrOfWire decodes wire records into LNR result rows.
-func lnrOfWire(results []wireRecord) []lbs.LNRRecord {
-	recs := make([]lbs.LNRRecord, len(results))
-	for i, w := range results {
-		recs[i] = lbs.LNRRecord{
-			ID: w.ID, Name: w.Name, Category: w.Category,
-			Attrs: w.Attrs, Tags: w.Tags,
-		}
-	}
-	return recs
-}
+// postBatch performs one batch POST and returns the decoded answers,
+// the exhausted flag and the response's partial annotation (nil when it
+// carries none), with the answered count already folded into the
+// client's local query counter. A response that does not answer every
+// point is an error, and so is a hole (a null answer) the response does
+// not explain by budget exhaustion or dropped federation members.
+func postBatch[T any](c *Client, ctx context.Context, endpoint string, pts []geom.Point,
+	conv func(recordFields) T) ([][]T, bool, *lbs.PartialError, error) {
 
-// postBatch performs one batch POST and returns the decoded response
-// with the answered count already folded into the client's local
-// query counter.
-func (c *Client) postBatch(ctx context.Context, endpoint string, pts []geom.Point) (*batchResponse, error) {
 	req := batchRequest{
 		Points:   make([]wirePoint, len(pts)),
 		Name:     c.sel.Name,
@@ -636,7 +671,7 @@ func (c *Client) postBatch(ctx context.Context, endpoint string, pts []geom.Poin
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, fmt.Errorf("httpapi: batch encode: %w", err)
+		return nil, false, nil, fmt.Errorf("httpapi: batch encode: %w", err)
 	}
 	// Batch POSTs retry like GETs: a batch query is semantically
 	// idempotent (same points, same answers), so replaying a failed
@@ -644,28 +679,39 @@ func (c *Client) postBatch(ctx context.Context, endpoint string, pts []geom.Poin
 	// paid again, the same exposure a per-point GET retry has.
 	resp, err := c.do(ctx, http.MethodPost, c.base+endpoint, body)
 	if err != nil {
-		return nil, err
+		return nil, false, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		e := decodeError(resp)
-		return nil, fmt.Errorf("httpapi: batch status %d: %s", resp.StatusCode, e.Error)
+		return nil, false, nil, fmt.Errorf("httpapi: batch status %d: %s", resp.StatusCode, e.Error)
 	}
-	var out batchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("httpapi: batch decode: %w", err)
+	buf := getBuf()
+	b, err := readBody((*buf)[:0], resp.Body)
+	var answers [][]T
+	exhausted := false
+	if err == nil {
+		answers, exhausted, err = parseBatchAnswers(b, c.k, conv)
 	}
-	answered := int64(0)
-	for _, a := range out.Answers {
+	putBuf(buf, b)
+	if err != nil {
+		return nil, false, nil, fmt.Errorf("httpapi: batch body: %w", err)
+	}
+	answered := 0
+	for _, a := range answers {
 		if a != nil {
 			answered++
 		}
 	}
-	c.queries.Add(answered)
-	if pe := partialOfHeaders(resp.Header); pe != nil {
-		return &out, pe
+	c.queries.Add(int64(answered))
+	pe := partialOfHeaders(resp.Header)
+	if len(answers) != len(pts) {
+		return nil, false, nil, fmt.Errorf("httpapi: batch answered %d of %d points", len(answers), len(pts))
 	}
-	return &out, nil
+	if answered < len(answers) && !exhausted && (pe == nil || pe.Dropped == 0) {
+		return nil, false, nil, errors.New("httpapi: batch left points unanswered without budget exhaustion or dropped members")
+	}
+	return answers, exhausted, pe, nil
 }
 
 // clientBatch is the decode shape shared by both client batch
@@ -676,7 +722,7 @@ func (c *Client) postBatch(ctx context.Context, endpoint string, pts []geom.Poin
 // (e.g. core.WithBatch larger than maxBatchPoints); a budget death in
 // one chunk stops the remaining chunks, leaving their positions nil.
 func clientBatch[T any](c *Client, ctx context.Context, endpoint string, pts []geom.Point,
-	filter lbs.Filter, decode func([]wireRecord) []T) ([][]T, error) {
+	filter lbs.Filter, conv func(recordFields) T) ([][]T, error) {
 
 	if filter != nil {
 		return nil, ErrPerCallFilter
@@ -689,34 +735,24 @@ func clientBatch[T any](c *Client, ctx context.Context, endpoint string, pts []g
 	// ride back alongside the answers (nil unless some chunk degraded).
 	var partial *lbs.PartialError
 	for off := 0; off < len(pts); off += maxBatchPoints {
-		end := off + maxBatchPoints
-		if end > len(pts) {
-			end = len(pts)
+		end := min(off+maxBatchPoints, len(pts))
+		answers, exhausted, pe, err := postBatch(c, ctx, endpoint, pts[off:end], conv)
+		if err != nil {
+			if off > 0 && errors.Is(err, lbs.ErrBudgetExhausted) {
+				return out, err
+			}
+			return nil, err
 		}
-		resp, err := c.postBatch(ctx, endpoint, pts[off:end])
-		if pe, ok := lbs.AsPartial(err); ok {
+		if pe != nil {
 			if partial == nil {
 				partial = &lbs.PartialError{}
 			}
 			partial.Degraded += pe.Degraded
 			partial.Dropped += pe.Dropped
 			partial.Missing += pe.Missing
-		} else if err != nil {
-			if off > 0 && errors.Is(err, lbs.ErrBudgetExhausted) {
-				return out, err
-			}
-			return nil, err
 		}
-		for i, a := range resp.Answers {
-			if off+i >= len(pts) {
-				break
-			}
-			if a == nil {
-				continue
-			}
-			out[off+i] = decode(a.Results)
-		}
-		if resp.Exhausted {
+		copy(out[off:end], answers)
+		if exhausted {
 			return out, lbs.ErrBudgetExhausted
 		}
 	}
@@ -731,10 +767,10 @@ func clientBatch[T any](c *Client, ctx context.Context, endpoint string, pts []g
 // nil for positions the server budget could not cover, alongside
 // lbs.ErrBudgetExhausted).
 func (c *Client) QueryLRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LRRecord, error) {
-	return clientBatch(c, ctx, "/v1/query/lr:batch", pts, filter, lrOfWire)
+	return clientBatch(c, ctx, "/v1/query/lr:batch", pts, filter, lrOfFields)
 }
 
 // QueryLNRBatch is the rank-only twin of QueryLRBatch.
 func (c *Client) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LNRRecord, error) {
-	return clientBatch(c, ctx, "/v1/query/lnr:batch", pts, filter, lnrOfWire)
+	return clientBatch(c, ctx, "/v1/query/lnr:batch", pts, filter, lnrOfFields)
 }

@@ -2,9 +2,14 @@ package httpapi
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -177,6 +182,138 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Errorf("missing coords: status %d", resp.StatusCode)
+	}
+	// ParseFloat reads these, but they locate nothing: 400, and the
+	// budget is not charged.
+	for _, q := range []string{"x=NaN&y=30", "x=Inf&y=30", "x=1&y=-Inf", "x=%2BInf&y=1", "x=nan&y=infinity"} {
+		for _, ep := range []string{"/v1/lr?", "/v1/lnr?"} {
+			resp, err := ts.Client().Get(ts.URL + ep + q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != 400 {
+				t.Errorf("%s%s: status %d, want 400", ep, q, resp.StatusCode)
+			}
+		}
+	}
+	if n := svc.QueryCount(); n != 0 {
+		t.Errorf("bad requests charged %d queries", n)
+	}
+}
+
+// TestParseQueryMatchesURLValues pins the raw-query scanner to the
+// url.Values reading it replaced: first well-formed occurrence wins,
+// pairs with ';' or bad escapes are dropped, values are unescaped.
+func TestParseQueryMatchesURLValues(t *testing.T) {
+	for _, raw := range []string{
+		"x=1&y=2", "y=2&x=1&x=3", "x=1;y=5&y=2", "x=%zz&x=4&y=%2B5", "%78=1.5&y=2e3",
+		"x=1&y=2&name=caf%C3%A9+bar&category=a%26b&name=second", "&&x=1&=7&y&y=2&category=",
+		"x=0x1p-2&y=1_0", "x=1&y=2&name=%", "x= 1&y=2", "x=1&y=2&category=%2", "x=1",
+	} {
+		r := &http.Request{URL: &url.URL{RawQuery: raw}}
+		p, sel, err := parseQuery(r)
+		v, _ := url.ParseQuery(raw)
+		x, errX := strconv.ParseFloat(v.Get("x"), 64)
+		y, errY := strconv.ParseFloat(v.Get("y"), 64)
+		if (err != nil) != (errX != nil || errY != nil) {
+			t.Errorf("%q: error %v, url.Values errors %v / %v", raw, err, errX, errY)
+			continue
+		}
+		if err == nil && (p != geom.Pt(x, y) || sel != (Selection{Name: v.Get("name"), Category: v.Get("category")})) {
+			t.Errorf("%q: %v %+v, url.Values reads (%v, %v) %q %q", raw, p, sel, x, y, v.Get("name"), v.Get("category"))
+		}
+	}
+}
+
+// TestQueryURLMatchesValuesEncode: the client's hand-built GET URL is
+// the one url.Values.Encode built, so the request line is unchanged.
+func TestQueryURLMatchesValuesEncode(t *testing.T) {
+	for _, sel := range []Selection{{}, {Name: "a b&c=d/é"}, {Category: "café+~._-"}, {Name: "x", Category: "%y"}} {
+		c := &Client{base: "http://h:1", sel: sel}
+		for _, p := range []geom.Point{geom.Pt(1, 2), geom.Pt(-0.000001234, 1e21), geom.Pt(math.Copysign(0, -1), 5e-324)} {
+			v := url.Values{}
+			v.Set("x", strconv.FormatFloat(p.X, 'g', -1, 64))
+			v.Set("y", strconv.FormatFloat(p.Y, 'g', -1, 64))
+			if sel.Name != "" {
+				v.Set("name", sel.Name)
+			}
+			if sel.Category != "" {
+				v.Set("category", sel.Category)
+			}
+			want := c.base + "/v1/lr?" + v.Encode()
+			if got := string(c.appendQueryURL(nil, "/v1/lr", p)); got != want {
+				t.Errorf("URL %s, want %s", got, want)
+			}
+		}
+	}
+}
+
+// nonFiniteBackend answers with a distance JSON cannot carry.
+type nonFiniteBackend struct{ lbs.Querier }
+
+func (nonFiniteBackend) QueryLR(context.Context, geom.Point, lbs.Filter) ([]lbs.LRRecord, error) {
+	return []lbs.LRRecord{{ID: 1, Dist: math.NaN()}}, nil
+}
+
+// TestNonFiniteAnswerIs500: an answer the codec cannot encode is a
+// 500 with an error body, not a 200 with an empty one.
+func TestNonFiniteAnswerIs500(t *testing.T) {
+	ts := httptest.NewServer(NewServer(nonFiniteBackend{testService(10, 2, 0, 7)}))
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/v1/lr?x=1&y=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorResponse
+	decodeErr := json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || decodeErr != nil || e.Error == "" {
+		t.Errorf("status %d, body error %q (decode %v); want 500 with an error body", resp.StatusCode, e.Error, decodeErr)
+	}
+}
+
+// TestRemoteRunMatchesLocal pins remote == local: with one worker and
+// a fixed seed, LR and LNR runs over the HTTP client draw the same
+// points and read the same answers as over the Service itself, so
+// every result field matches exactly.
+func TestRemoteRunMatchesLocal(t *testing.T) {
+	aggs := func() []core.Aggregate {
+		return []core.Aggregate{core.Count(), core.SumAttr("v"), core.CountTag("flag", "y")}
+	}
+	for _, method := range []string{"lr", "lnr"} {
+		run := func(o core.Oracle) []core.Result {
+			t.Helper()
+			var est core.Estimator = core.NewLRAggregator(o, core.DefaultLROptions(21))
+			samples := 60
+			if method == "lnr" {
+				est, samples = core.NewLNRAggregator(o, core.LNROptions{Seed: 22}), 8
+			}
+			res, err := core.Run(context.Background(), est, aggs(), core.WithMaxSamples(samples), core.WithParallelism(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		local := run(testService(80, 5, 0, 8))
+		svc := testService(80, 5, 0, 8)
+		ts := httptest.NewServer(NewServer(svc))
+		client, err := NewClient(context.Background(), ts.URL, Selection{}, ts.Client())
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote := run(client)
+		ts.Close()
+		for i := range local {
+			l, r := local[i], remote[i]
+			if l.Estimate != r.Estimate || l.CI95 != r.CI95 || l.Samples != r.Samples || l.Queries != r.Queries {
+				t.Errorf("%s %s: remote %v ± %v (%d samples, %d queries), local %v ± %v (%d samples, %d queries)",
+					method, l.Name, r.Estimate, r.CI95, r.Samples, r.Queries, l.Estimate, l.CI95, l.Samples, l.Queries)
+			}
+		}
+		if client.QueryCount() != svc.QueryCount() || local[0].Queries != svc.QueryCount() {
+			t.Errorf("%s: client counted %d queries, server %d, local run %d", method, client.QueryCount(), svc.QueryCount(), local[0].Queries)
+		}
 	}
 }
 
