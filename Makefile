@@ -30,13 +30,14 @@ perfbench-check:
 
 # fuzz-smoke runs every fuzz target for FUZZTIME each (go test
 # accepts one -fuzz target per package run): the spec planner, the
-# HTTP answer codec and the store's record decoder must survive
-# arbitrary input.
+# HTTP answer codec, the batch request bodies and the store's record
+# decoder must survive arbitrary input.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanBatch$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzAnswerCodec$$' -fuzztime $(FUZZTIME) ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/store
 
 # bench runs the estimation-session benchmarks; the Parallelism pair

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -191,5 +192,121 @@ func TestCachedBatchedParallelRun(t *testing.T) {
 	}
 	if st.Misses != svc.QueryCount() {
 		t.Errorf("misses %d != inner queries %d", st.Misses, svc.QueryCount())
+	}
+}
+
+// callCounter counts an estimator's oracle calls, one per point query.
+// It has no batch path of its own, whatever the wrapped oracle has.
+type callCounter struct {
+	Oracle
+	calls int
+}
+
+func (o *callCounter) QueryLR(ctx context.Context, q geom.Point, f lbs.Filter) ([]lbs.LRRecord, error) {
+	o.calls++
+	return o.Oracle.QueryLR(ctx, q, f)
+}
+
+func (o *callCounter) QueryLNR(ctx context.Context, q geom.Point, f lbs.Filter) ([]lbs.LNRRecord, error) {
+	o.calls++
+	return o.Oracle.QueryLNR(ctx, q, f)
+}
+
+// batchCallCounter is a callCounter that keeps the batch path of bo,
+// counting each batch as one call. cut counts batches the budget
+// answered only in part.
+type batchCallCounter struct {
+	*callCounter
+	bo  BatchOracle
+	cut *int
+}
+
+func (o batchCallCounter) QueryLRBatch(ctx context.Context, pts []geom.Point, f lbs.Filter) ([][]lbs.LRRecord, error) {
+	o.calls++
+	return o.bo.QueryLRBatch(ctx, pts, f)
+}
+
+func (o batchCallCounter) QueryLNRBatch(ctx context.Context, pts []geom.Point, f lbs.Filter) ([][]lbs.LNRRecord, error) {
+	o.calls++
+	out, err := o.bo.QueryLNRBatch(ctx, pts, f)
+	if errors.Is(err, lbs.ErrBudgetExhausted) && out[0] != nil {
+		*o.cut++
+	}
+	return out, err
+}
+
+// TestLNRBatchedMatchesSequential: LNR over an oracle with a batch path
+// sends its rings, vertex rounds and axis exits as batches, yet spends
+// exactly the queries of probing one point at a time and reaches the
+// identical run — also when the budget dies inside a batch — in fewer
+// oracle calls.
+func TestLNRBatchedMatchesSequential(t *testing.T) {
+	db := smallService2(60, 331)
+	rect := geom.NewRect(geom.Pt(0, 0), geom.Pt(50, 50))
+	cases := []struct {
+		name    string
+		h       int
+		aggs    []Aggregate
+		samples int
+		budget  int64
+	}{
+		{"H1", 1, []Aggregate{Count(), CountInRect(rect)}, 12, 0},
+		{"H2", 2, []Aggregate{Count()}, 8, 0},
+		{"H1-budget", 1, []Aggregate{Count(), CountInRect(rect)}, 0, 2011},
+		{"H2-budget", 2, []Aggregate{Count()}, 0, 5011},
+	}
+	for _, tc := range cases {
+		cutBatches := 0
+		run := func(batched bool) ([]Result, LNRStats, int) {
+			svc := lbs.NewService(db, lbs.Options{K: 4, Budget: tc.budget})
+			calls := &callCounter{Oracle: nonBatchOracle{svc}}
+			var o Oracle = calls
+			if batched {
+				calls.Oracle = svc
+				o = batchCallCounter{callCounter: calls, bo: svc, cut: &cutBatches}
+			}
+			agg := NewLNRAggregator(o, LNROptions{H: tc.h, Seed: 17})
+			opts := []RunOption{WithParallelism(1)}
+			if tc.samples > 0 {
+				opts = append(opts, WithMaxSamples(tc.samples))
+			}
+			res, err := agg.Run(context.Background(), tc.aggs, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if tc.budget > 0 && res[0].Queries != tc.budget {
+				t.Fatalf("%s: run spent %d queries, want the whole budget %d", tc.name, res[0].Queries, tc.budget)
+			}
+			return res, agg.Stats(), calls.calls
+		}
+		seq, seqStats, seqCalls := run(false)
+		bat, batStats, batCalls := run(true)
+		for j := range seq {
+			s, b := seq[j], bat[j]
+			if s.Estimate != b.Estimate || s.CI95 != b.CI95 || s.Samples != b.Samples || s.Queries != b.Queries {
+				t.Errorf("%s %s: batched %v ± %v (%d samples, %d queries), sequential %v ± %v (%d samples, %d queries)",
+					tc.name, s.Name, b.Estimate, b.CI95, b.Samples, b.Queries, s.Estimate, s.CI95, s.Samples, s.Queries)
+			}
+		}
+		if seqStats != batStats {
+			t.Errorf("%s: stats batched %+v, sequential %+v", tc.name, batStats, seqStats)
+		}
+		refused := 0 // the one call a dead budget refuses
+		if tc.budget > 0 {
+			refused = 1
+		}
+		if seqCalls != int(seq[0].Queries)+refused {
+			t.Errorf("%s: sequential run made %d calls for %d queries", tc.name, seqCalls, seq[0].Queries)
+		}
+		// H = 1, the paper's default, saves at least a quarter of the
+		// calls; H = 2 spends more of its queries on bisections, which
+		// stay sequential.
+		if tc.h == 1 && 4*batCalls > 3*seqCalls || batCalls >= seqCalls {
+			t.Errorf("%s: batched run made %d oracle calls, sequential %d", tc.name, batCalls, seqCalls)
+		}
+		if tc.budget > 0 && cutBatches == 0 {
+			t.Errorf("%s: the budget did not die inside a batch", tc.name)
+		}
+		t.Logf("%s: %d queries in %d sequential calls, %d batched", tc.name, seq[0].Queries, seqCalls, batCalls)
 	}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cell"
 	"repro/internal/geom"
@@ -124,12 +126,12 @@ type lnrCell struct {
 
 // member reports whether t is within the top-h at p.
 func (a *LNRAggregator) member(ctx context.Context, c *lnrCell, p geom.Point) (bool, error) {
-	recs, err := a.prober.probe(ctx, p)
+	ids, err := a.prober.probe(ctx, p)
 	if err != nil {
 		return false, err
 	}
-	a.recordCoApp(c, recs)
-	r := rankIn(recs, c.tID)
+	a.recordCoApp(c, ids)
+	r := rankIn(ids, c.tID)
 	return r >= 0 && r < c.h, nil
 }
 
@@ -148,24 +150,24 @@ func (a *LNRAggregator) validatedMemberBracket(ctx context.Context, c *lnrCell, 
 		return c3, c4, 0, false, err
 	}
 	for attempt := 0; ; attempt++ {
-		recs, err := a.prober.probe(ctx, c4)
+		ids, err := a.prober.probe(ctx, c4)
 		if err != nil {
 			return c3, c4, 0, false, err
 		}
-		a.recordCoApp(c, recs)
-		r := rankIn(recs, c.tID)
-		if r == c.h && len(recs) >= c.h {
+		a.recordCoApp(c, ids)
+		r := rankIn(ids, c.tID)
+		if r == c.h && len(ids) >= c.h {
 			// The crossing must be a clean adjacent swap: just inside,
 			// t sits at rank h−1 with the candidate displacer directly
 			// below it at rank h. Otherwise the bracket straddles more
 			// than one rank event and the midpoint would not lie on
 			// B(t, displacer).
-			cand := recs[c.h-1].ID
-			recs3, err := a.prober.probe(ctx, c3)
+			cand := ids[c.h-1]
+			ids3, err := a.prober.probe(ctx, c3)
 			if err != nil {
 				return c3, c4, 0, false, err
 			}
-			if rankIn(recs3, c.tID) == c.h-1 && rankIn(recs3, cand) == c.h {
+			if rankIn(ids3, c.tID) == c.h-1 && rankIn(ids3, cand) == c.h {
 				return c3, c4, cand, true, nil
 			}
 		}
@@ -191,13 +193,13 @@ func (a *LNRAggregator) validatedMemberBracket(ctx context.Context, c *lnrCell, 
 
 // recordCoApp extends the co-appearance set from a probe answer that
 // contains t.
-func (a *LNRAggregator) recordCoApp(c *lnrCell, recs []lbs.LNRRecord) {
-	if rankIn(recs, c.tID) < 0 {
+func (a *LNRAggregator) recordCoApp(c *lnrCell, ids []int64) {
+	if rankIn(ids, c.tID) < 0 {
 		return
 	}
-	for _, r := range recs {
-		if r.ID != c.tID {
-			c.coApp[r.ID] = true
+	for _, id := range ids {
+		if id != c.tID {
+			c.coApp[id] = true
 		}
 	}
 }
@@ -209,16 +211,16 @@ func (a *LNRAggregator) recordCoApp(c *lnrCell, recs []lbs.LNRRecord) {
 // the top-k would otherwise register points on visibility boundaries
 // instead of the bisector.
 func (a *LNRAggregator) validIndicatorBracket(ctx context.Context, c *lnrCell, other int64, c3, c4 geom.Point) (bool, error) {
-	recs3, err := a.prober.probe(ctx, c3)
+	ids3, err := a.prober.probe(ctx, c3)
 	if err != nil {
 		return false, err
 	}
-	recs4, err := a.prober.probe(ctx, c4)
+	ids4, err := a.prober.probe(ctx, c4)
 	if err != nil {
 		return false, err
 	}
-	r3t, r3o := rankIn(recs3, c.tID), rankIn(recs3, other)
-	r4t, r4o := rankIn(recs4, c.tID), rankIn(recs4, other)
+	r3t, r3o := rankIn(ids3, c.tID), rankIn(ids3, other)
+	r4t, r4o := rankIn(ids4, c.tID), rankIn(ids4, other)
 	return r3t >= 0 && r3o >= 0 && r4t >= 0 && r4o >= 0 &&
 		r3t < r3o && r4o < r4t, nil
 }
@@ -229,12 +231,12 @@ func (a *LNRAggregator) validIndicatorBracket(ctx context.Context, c *lnrCell, o
 // tests.
 func (a *LNRAggregator) orderPred(ctx context.Context, c *lnrCell, other int64) func(geom.Point) (bool, error) {
 	return func(p geom.Point) (bool, error) {
-		recs, err := a.prober.probe(ctx, p)
+		ids, err := a.prober.probe(ctx, p)
 		if err != nil {
 			return false, err
 		}
-		a.recordCoApp(c, recs)
-		return relOrder(recs, c.tID, other) > 0, nil
+		a.recordCoApp(c, ids)
+		return relOrder(ids, c.tID, other) > 0, nil
 	}
 }
 
@@ -243,8 +245,8 @@ func (a *LNRAggregator) orderPred(ctx context.Context, c *lnrCell, other int64) 
 // found is false when the cell reaches the bounding box along the ray.
 func (a *LNRAggregator) findEdgeAlong(ctx context.Context, c *lnrCell, dir geom.Point) (cell.Cut, bool, error) {
 	a.stats.EdgeSearches++
-	exit, ok := geom.RayRectExit(c.c1, dir, a.bound)
-	if !ok || exit.Dist(c.c1) < a.params.deltaCoarse {
+	exit, ok := a.rayExit(c, dir)
+	if !ok {
 		return cell.Cut{}, false, nil
 	}
 	mExit, err := a.member(ctx, c, exit)
@@ -263,6 +265,31 @@ func (a *LNRAggregator) findEdgeAlong(ctx context.Context, c *lnrCell, dir geom.
 		return cell.Cut{}, false, err
 	}
 	return cut, true, nil
+}
+
+// rayExit returns where the ray from the anchor c1 in direction dir
+// leaves the region; ok is false when there is no exit at least the
+// coarse bracket width away.
+func (a *LNRAggregator) rayExit(c *lnrCell, dir geom.Point) (geom.Point, bool) {
+	exit, ok := geom.RayRectExit(c.c1, dir, a.bound)
+	if !ok || exit.Dist(c.c1) < a.params.deltaCoarse {
+		return geom.Point{}, false
+	}
+	return exit, true
+}
+
+// ring returns the points of an n-point circle of the given radius
+// around center that lie inside the region, in angular order.
+func (a *LNRAggregator) ring(center geom.Point, radius float64, n int) []geom.Point {
+	pts := make([]geom.Point, 0, n)
+	for i := 0; i < n; i++ {
+		ang := 2 * math.Pi * float64(i) / float64(n)
+		p := center.Add(geom.Pt(math.Cos(ang), math.Sin(ang)).Scale(radius))
+		if a.bound.Contains(p) {
+			pts = append(pts, p)
+		}
+	}
+	return pts
 }
 
 // registerFlip records one observed boundary point of B(t, t′) and
@@ -341,30 +368,22 @@ func (a *LNRAggregator) secondFlipPoint(ctx context.Context, c *lnrCell, other i
 	// visible, and a bracket along that chord lands a second bisector
 	// point at separation ≈ s regardless of the bisector's orientation.
 	for _, frac := range []float64{0.5, 0.25, 1.0} {
-		radius := frac * r
-		const ring = 12
-		type probePt struct {
-			p    geom.Point
-			ord  int
-			both bool
+		ring := a.ring(m, frac*r, 12)
+		if err := a.prober.prefetch(ctx, ring); err != nil {
+			return geom.Point{}, false, err
 		}
-		pts := make([]probePt, 0, ring)
-		for i := 0; i < ring; i++ {
-			ang := 2 * math.Pi * float64(i) / ring
-			p := m.Add(geom.Pt(math.Cos(ang), math.Sin(ang)).Scale(radius))
-			if !a.bound.Contains(p) {
-				continue
-			}
-			recs, err := a.prober.probe(ctx, p)
+		type probePt struct {
+			p   geom.Point
+			ord int
+		}
+		pts := make([]probePt, 0, len(ring))
+		for _, p := range ring {
+			ids, err := a.prober.probe(ctx, p)
 			if err != nil {
 				return geom.Point{}, false, err
 			}
-			a.recordCoApp(c, recs)
-			pts = append(pts, probePt{
-				p:    p,
-				ord:  relOrder(recs, c.tID, other),
-				both: rankIn(recs, c.tID) >= 0 && rankIn(recs, other) >= 0,
-			})
+			a.recordCoApp(c, ids)
+			pts = append(pts, probePt{p: p, ord: relOrder(ids, c.tID, other)})
 		}
 		for i := 0; i < len(pts); i++ {
 			pi, pj := pts[i], pts[(i+1)%len(pts)]
@@ -397,7 +416,6 @@ func (a *LNRAggregator) secondFlipPoint(ctx context.Context, c *lnrCell, other i
 	}
 	// Strategy 2: wide-angle rays from the anchor.
 	dirU := dir.Unit()
-	_ = dirU
 	for _, ang := range []float64{+0.5, -0.5, +0.9, -0.9, +0.25, -0.25} {
 		dir2 := dirU.Rotate(ang)
 		for _, scale := range []float64{1.5, 1.0} {
@@ -412,12 +430,12 @@ func (a *LNRAggregator) secondFlipPoint(ctx context.Context, c *lnrCell, other i
 					far = anchor.Add(dir2.Scale(scale * r))
 				}
 			}
-			recs, err := a.prober.probe(ctx, far)
+			ids, err := a.prober.probe(ctx, far)
 			if err != nil {
 				return geom.Point{}, false, err
 			}
-			a.recordCoApp(c, recs)
-			switch relOrder(recs, c.tID, other) {
+			a.recordCoApp(c, ids)
+			switch relOrder(ids, c.tID, other) {
 			case +1:
 				// Still on the t side: the bisector is farther out
 				// along this ray than we reached; try the next angle.
@@ -461,8 +479,19 @@ func (a *LNRAggregator) buildCell(ctx context.Context, tID int64, h int, c1 geom
 		flipPts: make(map[int64][]geom.Point),
 		refines: make(map[int64]int),
 	}
-	// Initial four axis-aligned edge searches (Algorithm 6 line 3–5).
-	for _, dir := range []geom.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}} {
+	// Initial four axis-aligned edge searches (Algorithm 6 line 3–5),
+	// each of which starts by probing its ray's exit.
+	dirs := []geom.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
+	exits := make([]geom.Point, 0, len(dirs))
+	for _, dir := range dirs {
+		if exit, ok := a.rayExit(c, dir); ok {
+			exits = append(exits, exit)
+		}
+	}
+	if err := a.prober.prefetch(ctx, exits); err != nil {
+		return nil, nil, err
+	}
+	for _, dir := range dirs {
 		cut, found, err := a.findEdgeAlong(ctx, c, dir)
 		if err != nil {
 			return nil, nil, err
@@ -499,8 +528,23 @@ func (a *LNRAggregator) buildCell(ctx context.Context, tID int64, h int, c1 geom
 // unconfirmed vertices and searching for the missing edge behind every
 // failing vertex.
 func (a *LNRAggregator) vertexRound(ctx context.Context, c *lnrCell, confirmed map[vkey]bool) (bool, error) {
+	verts := c.region.Vertices()
+	// The first vertex of every unconfirmed key is probed below no
+	// matter what the others show; later ones of the same key may be
+	// skipped once it confirms.
+	first := make([]geom.Point, 0, len(verts))
+	seen := make(map[vkey]bool, len(verts))
+	for _, v := range verts {
+		if key := a.vkeyOf(v); !confirmed[key] && !seen[key] {
+			seen[key] = true
+			first = append(first, v)
+		}
+	}
+	if err := a.prober.prefetch(ctx, first); err != nil {
+		return false, err
+	}
 	changed := false
-	for _, v := range c.region.Vertices() {
+	for _, v := range verts {
 		key := a.vkeyOf(v)
 		if confirmed[key] {
 			continue
@@ -563,19 +607,21 @@ func (a *LNRAggregator) repairConcavity(ctx context.Context, c *lnrCell) (bool, 
 		return false, nil
 	}
 	// Classify each vertex by probing (cached — vertices were probed
-	// during the vertex round).
+	// during the vertex round). Candidates go in ascending ID order:
+	// each repair spends probes and adds cuts, so the order decides the
+	// run, and map order would differ between same-seed runs.
 	changed := false
-	for other := range c.coApp {
+	for _, other := range slices.Sorted(maps.Keys(c.coApp)) {
 		if c.region.HasCut(other) {
 			continue
 		}
 		var pos, neg *geom.Point
 		for i := range verts {
-			recs, err := a.prober.probe(ctx, verts[i])
+			ids, err := a.prober.probe(ctx, verts[i])
 			if err != nil {
 				return false, err
 			}
-			switch relOrder(recs, c.tID, other) {
+			switch relOrder(ids, c.tID, other) {
 			case +1:
 				pos = &verts[i]
 			case -1:
@@ -633,7 +679,7 @@ func (a *LNRAggregator) massOfRegion(region *cell.Complex) float64 {
 // rank ≤ H is weighted by its top-H cell.
 func (a *LNRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, error) {
 	q := a.smp.Sample(a.rng)
-	recs, err := a.prober.probe(ctx, q)
+	recs, err := a.prober.sample(ctx, q)
 	if err != nil {
 		return nil, err
 	}

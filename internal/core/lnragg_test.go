@@ -276,14 +276,14 @@ func TestLNRProberCaching(t *testing.T) {
 }
 
 func TestRelOrder(t *testing.T) {
-	recs := []lbs.LNRRecord{{ID: 5}, {ID: 9}, {ID: 2}}
-	if relOrder(recs, 5, 9) != 1 || relOrder(recs, 9, 5) != -1 {
+	ids := []int64{5, 9, 2}
+	if relOrder(ids, 5, 9) != 1 || relOrder(ids, 9, 5) != -1 {
 		t.Errorf("both present ordering")
 	}
-	if relOrder(recs, 5, 77) != 1 || relOrder(recs, 77, 5) != -1 {
+	if relOrder(ids, 5, 77) != 1 || relOrder(ids, 77, 5) != -1 {
 		t.Errorf("presence ordering")
 	}
-	if relOrder(recs, 70, 77) != 0 {
+	if relOrder(ids, 70, 77) != 0 {
 		t.Errorf("both absent should be unknown")
 	}
 }
@@ -300,5 +300,28 @@ func TestEdgeSearchParams(t *testing.T) {
 	// Fine delta shrinks with anchor distance (angular requirement).
 	if p.fineDelta(100) >= p.fineDelta(1) {
 		t.Errorf("fineDelta not decreasing in r")
+	}
+}
+
+// TestLNRSeedReproducibleTopH: with H > 1 the concavity repair visits
+// co-appeared tuples in ascending ID order, so two runs on one seed
+// spend the same queries and reach the same estimate.
+func TestLNRSeedReproducibleTopH(t *testing.T) {
+	db := smallService2(60, 331)
+	run := func() Result {
+		svc := lbs.NewService(db, lbs.Options{K: 4})
+		res, err := NewLNRAggregator(svc, LNROptions{H: 2, Seed: 5}).Run(context.Background(),
+			[]Aggregate{Count()}, WithMaxSamples(20), WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0]
+	}
+	a := run()
+	for i := 0; i < 3; i++ {
+		if b := run(); a.Estimate != b.Estimate || a.CI95 != b.CI95 || a.Queries != b.Queries {
+			t.Fatalf("same seed, different runs: %v ± %v (%d queries) vs %v ± %v (%d queries)",
+				a.Estimate, a.CI95, a.Queries, b.Estimate, b.CI95, b.Queries)
+		}
 	}
 }

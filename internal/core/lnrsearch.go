@@ -2,51 +2,115 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/lbs"
 )
 
-// lnrProber wraps the rank-only query interface with result caching:
-// the hidden database is static, so re-probing an identical location
-// is free for any reasonable client. Only *exact* repeat locations hit
-// the cache; every distinct location costs a query.
+// lnrProber is LNR's view of the rank-only interface. It caches every
+// probe answer as the ranked tuple IDs alone — cell inference reads
+// nothing else — because the hidden database is static and re-probing
+// an identical location is free for any reasonable client. Only
+// *exact* repeat locations hit the cache; every distinct location
+// costs a query. The full records (names, attributes, tags) are
+// returned only by sample, the one probe whose tuples are weighted.
+//
+// When the oracle has a batch path, prefetch sends a probe set the
+// inference is certain to visit next (a ring, a vertex round, the
+// axis exits) as one batch query: the same points, answers and query
+// count as probing them one by one, in fewer round trips.
 type lnrProber struct {
 	svc    Oracle
+	batch  BatchOracle // nil when svc has no batch path
 	filter lbs.Filter
-	cache  map[geom.Point][]lbs.LNRRecord
+	cache  map[geom.Point][]int64
 }
 
 func newLNRProber(svc Oracle, filter lbs.Filter) *lnrProber {
+	batch, _ := svc.(BatchOracle)
 	return &lnrProber{
 		svc:    svc,
+		batch:  batch,
 		filter: filter,
-		cache:  make(map[geom.Point][]lbs.LNRRecord),
+		cache:  make(map[geom.Point][]int64),
 	}
 }
 
-func (p *lnrProber) probe(ctx context.Context, pt geom.Point) ([]lbs.LNRRecord, error) {
-	if recs, ok := p.cache[pt]; ok {
-		return recs, nil
+// probe returns the ranked tuple IDs at pt.
+func (p *lnrProber) probe(ctx context.Context, pt geom.Point) ([]int64, error) {
+	if ids, ok := p.cache[pt]; ok {
+		return ids, nil
 	}
 	recs, err := p.svc.QueryLNR(ctx, pt, p.filter)
 	if err != nil {
 		return nil, err
 	}
-	p.cache[pt] = recs
+	return p.store(pt, recs), nil
+}
+
+// sample queries a sample location for its full records and caches
+// their ranking for the cell inference that follows. The samplers draw
+// from continuous densities, so a sample location repeats a probed one
+// with probability zero; one that does is queried again.
+func (p *lnrProber) sample(ctx context.Context, pt geom.Point) ([]lbs.LNRRecord, error) {
+	recs, err := p.svc.QueryLNR(ctx, pt, p.filter)
+	if err != nil {
+		return nil, err
+	}
+	p.store(pt, recs)
 	return recs, nil
 }
 
-// rankIn returns the 0-based rank of id, or −1 when absent.
-func rankIn(recs []lbs.LNRRecord, id int64) int {
-	for i, r := range recs {
-		if r.ID == id {
-			return i
+// prefetch answers the points of pts not yet cached as one batch query
+// and caches the answers; it is a no-op without a batch path or with
+// fewer than two such points (a lone probe is one call either way).
+// Callers pass only points the sequential inference probes next no
+// matter what, so the queries are exactly those it would spend. A
+// budget that dies mid-batch answers a prefix: prefetch caches it and
+// reports no error, so the inference walks on and fails at the first
+// unanswered point, exactly where probing one by one fails. Any other
+// batch error is returned uncached.
+func (p *lnrProber) prefetch(ctx context.Context, pts []geom.Point) error {
+	if p.batch == nil {
+		return nil
+	}
+	var miss []geom.Point
+	for _, pt := range pts {
+		if _, ok := p.cache[pt]; !ok && !slices.Contains(miss, pt) {
+			miss = append(miss, pt)
 		}
 	}
-	return -1
+	if len(miss) < 2 {
+		return nil
+	}
+	answers, err := p.batch.QueryLNRBatch(ctx, miss, p.filter)
+	if err != nil && !errors.Is(err, lbs.ErrBudgetExhausted) {
+		return err
+	}
+	for i, recs := range answers {
+		if recs != nil {
+			p.store(miss[i], recs)
+		}
+	}
+	return nil
+}
+
+// store caches the ranking of recs at pt and returns it.
+func (p *lnrProber) store(pt geom.Point, recs []lbs.LNRRecord) []int64 {
+	ids := make([]int64, len(recs))
+	for i, r := range recs {
+		ids[i] = r.ID
+	}
+	p.cache[pt] = ids
+	return ids
+}
+
+// rankIn returns the 0-based rank of id, or −1 when absent.
+func rankIn(ids []int64, id int64) int {
+	return slices.Index(ids, id)
 }
 
 // relOrder compares the distances of tuples a and b at a probe result:
@@ -54,8 +118,8 @@ func rankIn(recs []lbs.LNRRecord, id int64) int {
 // undecidable (both absent from the top-k). Presence alone decides the
 // order when only one appears: a tuple inside the top-k is closer than
 // every tuple outside it.
-func relOrder(recs []lbs.LNRRecord, a, b int64) int {
-	ra, rb := rankIn(recs, a), rankIn(recs, b)
+func relOrder(ids []int64, a, b int64) int {
+	ra, rb := rankIn(ids, a), rankIn(ids, b)
 	switch {
 	case ra >= 0 && rb >= 0:
 		if ra < rb {
@@ -94,15 +158,12 @@ func predicateSearch(a, b geom.Point, delta float64, pred func(geom.Point) (bool
 }
 
 // edgeSearchParams holds the Appendix-A precision parameters derived
-// from the target maximum edge error ε. The bracketing is two-phase:
-// the primary search stops at the coarse width δ_c = ε/2 (positional
-// error ≤ ε/4 along the ray), after which the bracket distance r from
-// the anchor is known and the search continues to the fine width
-// δ_f(r) = ε²/(32·r), which keeps the *angular* error of the two-point
-// line construction below ε/(2L) for edges of length L ≲ 4r. Compared
-// to the paper's fixed δ over the whole bounding box this saves
-// log₂(box/cell) probes per search on small cells without weakening
-// the local precision guarantee.
+// from the target maximum edge error ε. Edge brackets stop at the
+// coarse width δ_c = ε/2 (positional error ≤ ε/4 along the ray); two
+// observed bisector points at least δ′ = ε/2 apart pin a cut line (see
+// registerFlip). The fine width δ_f(r) = ε²/(32·r) shrinks with the
+// anchor distance r and sizes the localization's third-bisector
+// searches, which need angular rather than positional precision.
 type edgeSearchParams struct {
 	epsilon     float64
 	deltaCoarse float64
@@ -137,91 +198,3 @@ func (p edgeSearchParams) fineDelta(r float64) float64 {
 // delta is kept for call sites needing a generic small width (vertex
 // coincidence checks, third-bisector searches).
 func (p edgeSearchParams) delta() float64 { return p.fineDelta(p.epsilon * 8) }
-
-// refineBracket continues a coarse bracket down to the fine width
-// required at its anchor distance, returning the refined bracket and
-// the fine width used.
-func refineBracket(anchor, c3, c4 geom.Point, params edgeSearchParams,
-	pred func(geom.Point) (bool, error)) (geom.Point, geom.Point, float64, error) {
-
-	r := anchor.Dist(c4)
-	deltaFine := params.fineDelta(r)
-	if c3.Dist(c4) > deltaFine {
-		var err error
-		c3, c4, err = predicateSearch(c3, c4, deltaFine, pred)
-		if err != nil {
-			return c3, c4, deltaFine, err
-		}
-	}
-	return c3, c4, deltaFine, nil
-}
-
-// twoPointLine derives an edge line from a primary bracket (c3, c4)
-// found along a ray from anchor, plus a second bracket located along a
-// ray rotated by ±arcsin(δ′/r) (Algorithm 7). pred must flip across
-// the same geometric edge (the caller constrains it to the specific
-// opposing tuple). When neither angled ray produces a usable second
-// point, the fallback edge is the line through mid(c3, c4)
-// perpendicular to the primary ray.
-func twoPointLine(anchor, c3, c4 geom.Point, params edgeSearchParams, bounds geom.Rect,
-	pred func(geom.Point) (bool, error)) (geom.Line, error) {
-
-	var deltaFine float64
-	var err error
-	c3, c4, deltaFine, err = refineBracket(anchor, c3, c4, params, pred)
-	if err != nil {
-		return geom.Line{}, err
-	}
-	m1 := c3.Mid(c4)
-	dir := c4.Sub(anchor)
-	r := dir.Norm()
-	if r < geom.Eps {
-		return geom.Line{}, fmt.Errorf("core: degenerate edge search (anchor on bracket)")
-	}
-	dirU := dir.Unit()
-	sin := params.deltaPrime / r
-	if sin > 0.5 {
-		sin = 0.5
-	}
-	theta := asinSafe(sin)
-	for _, sign := range []float64{+1, -1} {
-		dir2 := dirU.Rotate(sign * theta)
-		// The second crossing is expected near distance r; search a
-		// slightly longer segment clipped to the bounding region.
-		far := anchor.Add(dir2.Scale(1.6 * r))
-		if !bounds.Contains(far) {
-			if exit, ok := geom.RayRectExit(anchor, dir2, bounds); ok {
-				far = exit
-			} else {
-				continue
-			}
-		}
-		ok, err := pred(far)
-		if err != nil {
-			return geom.Line{}, err
-		}
-		if ok {
-			continue // no flip along this ray; try the other side
-		}
-		c5, c6, err := predicateSearch(anchor, far, deltaFine, pred)
-		if err != nil {
-			return geom.Line{}, err
-		}
-		m2 := c5.Mid(c6)
-		if m1.Dist(m2) > deltaFine {
-			return geom.LineThrough(m1, m2), nil
-		}
-	}
-	// Fallback: perpendicular through the primary midpoint.
-	return geom.LineFromPointNormal(m1, dirU), nil
-}
-
-// asinSafe is math.Asin clamped to a valid domain.
-func asinSafe(x float64) float64 {
-	if x > 1 {
-		x = 1
-	} else if x < -1 {
-		x = -1
-	}
-	return math.Asin(x)
-}

@@ -39,65 +39,6 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
-// TestTwoPointLineRecoversBisector exercises the literal Algorithm-7
-// construction (kept as the reference implementation even though the
-// production path uses flip-point accumulation): given a membership
-// oracle for a half-plane, the derived line must approximate the
-// half-plane's boundary.
-func TestTwoPointLineRecoversBisector(t *testing.T) {
-	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
-	params := newEdgeSearchParams(0.01, bounds)
-	tt := geom.Pt(30, 40)
-	other := geom.Pt(60, 70)
-	trueLine := geom.Bisector(tt, other)
-	pred := func(p geom.Point) (bool, error) { return p.Dist2(tt) <= p.Dist2(other), nil }
-	anchor := tt
-	// Primary bracket along +x.
-	exit, _ := geom.RayRectExit(anchor, geom.Pt(1, 1), bounds)
-	c3, c4, err := predicateSearch(anchor, exit, params.deltaCoarse, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	line, err := twoPointLine(anchor, c3, c4, params, bounds, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The derived line must be nearly parallel to the true bisector and
-	// close to it at the bracket point.
-	dot := math.Abs(line.Normal().Dot(trueLine.Normal()))
-	if dot < 0.9999 {
-		t.Errorf("direction off: |cos| = %v", dot)
-	}
-	if d := trueLine.Dist(c3.Mid(c4)); d > 0.01 {
-		t.Errorf("bracket point off the bisector: %v", d)
-	}
-}
-
-func TestRefineBracketTightens(t *testing.T) {
-	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
-	params := newEdgeSearchParams(0.5, bounds)
-	boundary := 42.0
-	pred := func(p geom.Point) (bool, error) { return p.X < boundary, nil }
-	anchor := geom.Pt(0, 0)
-	c3, c4, err := predicateSearch(anchor, geom.Pt(100, 0), params.deltaCoarse, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3, r4, deltaFine, err := refineBracket(anchor, c3, c4, params, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.Dist(r4) > deltaFine+1e-12 {
-		t.Errorf("refined bracket wider than fine delta: %v > %v", r3.Dist(r4), deltaFine)
-	}
-	if deltaFine > params.deltaCoarse {
-		t.Errorf("fine delta exceeds coarse: %v", deltaFine)
-	}
-	if math.Abs(r3.Mid(r4).X-boundary) > deltaFine {
-		t.Errorf("refined bracket off boundary")
-	}
-}
-
 func TestFineDeltaMonotonicity(t *testing.T) {
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
 	p := newEdgeSearchParams(0.2, bounds)
@@ -111,14 +52,5 @@ func TestFineDeltaMonotonicity(t *testing.T) {
 			t.Errorf("fineDelta out of range at r=%v: %v", r, d)
 		}
 		prev = d
-	}
-}
-
-func TestAsinSafeClamps(t *testing.T) {
-	if asinSafe(2) != math.Pi/2 || asinSafe(-2) != -math.Pi/2 {
-		t.Errorf("clamping broken")
-	}
-	if math.Abs(asinSafe(0.5)-math.Asin(0.5)) > 1e-15 {
-		t.Errorf("interior value wrong")
 	}
 }

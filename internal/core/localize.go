@@ -31,11 +31,11 @@ import (
 // the same line the paper derives via its angle identity a+b+c = π.
 // Two vertices give two such lines; their intersection is t.
 func (a *LNRAggregator) Localize(ctx context.Context, tID int64, anchor geom.Point) (geom.Point, error) {
-	recs, err := a.prober.probe(ctx, anchor)
+	ids, err := a.prober.probe(ctx, anchor)
 	if err != nil {
 		return geom.Point{}, err
 	}
-	if rankIn(recs, tID) != 0 {
+	if rankIn(ids, tID) != 0 {
 		return geom.Point{}, fmt.Errorf("core: Localize anchor does not return tuple %d as top-1", tID)
 	}
 	_, cctx, err := a.buildCell(ctx, tID, 1, anchor)
@@ -177,18 +177,17 @@ func (a *LNRAggregator) findThirdBisector(ctx context.Context, c *lnrCell, t2, t
 		ord int
 	}
 	for attempt := 0; attempt < 3; attempt++ {
-		ring := make([]probePt, 0, ringProbes)
-		for i := 0; i < ringProbes; i++ {
-			ang := 2 * math.Pi * float64(i) / ringProbes
-			p := o.Add(geom.Pt(math.Cos(ang), math.Sin(ang)).Scale(radius))
-			if !a.bound.Contains(p) {
-				continue
-			}
-			recs, err := a.prober.probe(ctx, p)
+		pts := a.ring(o, radius, ringProbes)
+		if err := a.prober.prefetch(ctx, pts); err != nil {
+			return geom.Line{}, err
+		}
+		ring := make([]probePt, 0, len(pts))
+		for _, p := range pts {
+			ids, err := a.prober.probe(ctx, p)
 			if err != nil {
 				return geom.Line{}, err
 			}
-			ring = append(ring, probePt{p: p, ord: relOrder(recs, t2, t3)})
+			ring = append(ring, probePt{p: p, ord: relOrder(ids, t2, t3)})
 		}
 		// Find an adjacent +1/−1 pair on the ring.
 		for i := 0; i < len(ring); i++ {
@@ -200,11 +199,11 @@ func (a *LNRAggregator) findThirdBisector(ctx context.Context, c *lnrCell, t2, t
 					pos, neg = pj.p, pi.p
 				}
 				pred := func(p geom.Point) (bool, error) {
-					recs, err := a.prober.probe(ctx, p)
+					ids, err := a.prober.probe(ctx, p)
 					if err != nil {
 						return false, err
 					}
-					return relOrder(recs, t2, t3) > 0, nil
+					return relOrder(ids, t2, t3) > 0, nil
 				}
 				c3, c4, err := predicateSearch(pos, neg, a.params.delta(), pred)
 				if err != nil {

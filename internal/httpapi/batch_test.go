@@ -3,10 +3,12 @@ package httpapi
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -364,4 +366,126 @@ func TestClientBatchRejectsMalformedAnswers(t *testing.T) {
 	if pe, ok := lbs.AsPartial(err); !ok || pe.Dropped != 1 || answers[0] == nil || answers[1] != nil {
 		t.Errorf("dropped hole: %v, %v", answers, err)
 	}
+}
+
+// FuzzBatchRequest feeds arbitrary POST bodies to both batch endpoints
+// of a healthy server with a small budget. No body may panic or draw a
+// 5xx; a 400 charges no budget; a 200 answers every point of a request
+// of at most maxBatchPoints, index-aligned — each answered position
+// holds the reference answer at its point — charging one unit per
+// answered position, with null holes only after the budget ran out.
+func FuzzBatchRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"points":[{"x":10,"y":10},{"x":90,"y":90},{"x":50,"y":50}]}`,
+		`{"points":[{"x":10,"y":10}],"category":"school"}`,
+		`{"points":[{"x":1,"y":2},{"x":1,"y":2}],"name":"nobody"}` + "\n\t ",
+		`{"points":[{"x":1,"y":2}]} {"points":[]}`,
+		`{"points":[{"x":1,"y":2}]}x`,
+		`{"points":[]}`,
+		`{"points":null}`,
+		`{"points":[{"x":1e400,"y":0}]}`,
+		`{"points":[{"x":-1e300,"y":1e300},{"x":-0,"y":5e-324}]}`,
+		`{"points":[{"X":3,"Y":4,"z":[1,{}]}],"POINTS":[{"x":5}],"extra":null}`,
+		`{"points":[{"x":"1","y":2}]}`,
+		`{"points":{}}`,
+		`null`,
+		``,
+		`[` + strings.Repeat(`{"x":1,"y":1},`, 70) + `{"x":2,"y":2}]`,
+		`{"points":[` + strings.Repeat(`{"x":1,"y":1},`, maxBatchPoints) + `{"x":2,"y":2}]}`,
+		`{"points":[` + strings.Repeat(`{"x":7,"y":3},`, 99) + `{"x":2,"y":2}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	const budget = 64
+	svc := testService(30, 3, budget, 41)
+	ref := testService(30, 3, 0, 41)
+	srv := NewServer(svc)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, endpoint := range []string{"/v1/query/lr:batch", "/v1/query/lnr:batch"} {
+			svc.ResetQueryCount()
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, endpoint, bytes.NewReader(body)))
+			charged := svc.QueryCount()
+			switch code := rec.Code; {
+			case code >= 500:
+				t.Fatalf("%s %q: status %d: %s", endpoint, body, code, rec.Body.Bytes())
+			case code == http.StatusBadRequest:
+				if charged != 0 {
+					t.Fatalf("%s %q: 400 charged %d queries", endpoint, body, charged)
+				}
+			case code == http.StatusOK:
+				checkBatchAnswers(t, endpoint, body, rec.Body.Bytes(), charged, ref)
+			}
+		}
+	})
+}
+
+// checkBatchAnswers checks one 200 batch response against the request
+// body it answered and an unbudgeted reference service.
+func checkBatchAnswers(t *testing.T, endpoint string, body, resp []byte, charged int64, ref *lbs.Service) {
+	t.Helper()
+	var req batchRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatalf("%s %q: 200 for a body json.Unmarshal refuses: %v", endpoint, body, err)
+	}
+	pts := make([]geom.Point, len(req.Points))
+	for i, p := range req.Points {
+		pts[i] = geom.Pt(p.X, p.Y)
+	}
+	if len(pts) == 0 || len(pts) > maxBatchPoints {
+		t.Fatalf("%s %q: 200 for %d points", endpoint, body, len(pts))
+	}
+	sel := Selection{Name: req.Name, Category: req.Category}
+	var got, want [][]int64
+	var exhausted bool
+	var err error
+	if endpoint == "/v1/query/lr:batch" {
+		var answers [][]lbs.LRRecord
+		answers, exhausted, err = parseBatchAnswers(resp, ref.K(), lrOfFields)
+		wantRecs, _ := ref.QueryLRBatch(context.Background(), pts, sel.filter())
+		lrID := func(r lbs.LRRecord) int64 { return r.ID }
+		got, want = idsOf(answers, lrID), idsOf(wantRecs, lrID)
+	} else {
+		var answers [][]lbs.LNRRecord
+		answers, exhausted, err = parseBatchAnswers(resp, ref.K(), lnrOfFields)
+		wantRecs, _ := ref.QueryLNRBatch(context.Background(), pts, sel.filter())
+		lnrID := func(r lbs.LNRRecord) int64 { return r.ID }
+		got, want = idsOf(answers, lnrID), idsOf(wantRecs, lnrID)
+	}
+	if err != nil {
+		t.Fatalf("%s %q: undecodable 200 body %q: %v", endpoint, body, resp, err)
+	}
+	if len(got) != len(pts) {
+		t.Fatalf("%s %q: %d answers for %d points", endpoint, body, len(got), len(pts))
+	}
+	answered := int64(0)
+	for i := range got {
+		if got[i] == nil {
+			if !exhausted {
+				t.Fatalf("%s %q: null answer %d without exhaustion", endpoint, body, i)
+			}
+			continue
+		}
+		answered++
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s %q: answer %d is %v, want %v", endpoint, body, i, got[i], want[i])
+		}
+	}
+	if answered != charged {
+		t.Fatalf("%s %q: %d answered positions charged %d queries", endpoint, body, answered, charged)
+	}
+}
+
+// idsOf lists each answer's tuple IDs; a null answer stays nil.
+func idsOf[T any](answers [][]T, id func(T) int64) [][]int64 {
+	out := make([][]int64, len(answers))
+	for i, a := range answers {
+		if a != nil {
+			out[i] = make([]int64, len(a))
+			for j, r := range a {
+				out[i][j] = id(r)
+			}
+		}
+	}
+	return out
 }

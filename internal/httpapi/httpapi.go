@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -406,14 +407,19 @@ func (s *Server) handleLNR(w http.ResponseWriter, r *http.Request) {
 
 // parseBatch decodes and validates a batch request body. The body is
 // capped at maxBatchBodyBytes *before* decoding, so an oversized POST
-// is rejected without allocating it.
+// is rejected without allocating it. Anything but whitespace after the
+// JSON object is rejected, as the client rejects it after an answer.
 func parseBatch(w http.ResponseWriter, r *http.Request) ([]geom.Point, Selection, error) {
 	if r.Method != http.MethodPost {
 		return nil, Selection{}, fmt.Errorf("batch queries are POST-only")
 	}
 	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
+	if err := dec.Decode(&req); err != nil {
 		return nil, Selection{}, fmt.Errorf("invalid batch body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, Selection{}, fmt.Errorf("invalid batch body: trailing data after the JSON object")
 	}
 	if len(req.Points) == 0 {
 		return nil, Selection{}, fmt.Errorf("batch needs at least one point")
