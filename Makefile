@@ -31,7 +31,7 @@ perfbench-check:
 # fuzz-smoke runs every fuzz target for FUZZTIME each (go test
 # accepts one -fuzz target per package run): the spec planner, the
 # HTTP answer codec, the batch request bodies and the store's record
-# decoder must survive arbitrary input.
+# and WAL frame decoders must survive arbitrary input.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -39,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnswerCodec$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime $(FUZZTIME) ./internal/store
 
 # bench runs the estimation-session benchmarks; the Parallelism pair
 # measures the wall-clock payoff of WithParallelism(8) over a

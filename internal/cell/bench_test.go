@@ -46,7 +46,7 @@ func BenchmarkAddCut(b *testing.B) {
 	pts := randomPoints(rng, 64)
 	c := NewFromRect(unitBox, 3)
 	fill := func() {
-		c.Reset()
+		c.Reset(c.K())
 		for j := 1; j < len(pts); j++ {
 			c.AddCut(Cut{Line: geom.Bisector(pts[0], pts[j]), Key: int64(j)})
 		}
@@ -102,7 +102,7 @@ func BenchmarkInsertSites(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Reset()
+		c.Reset(c.K())
 		InsertSites(c, pts[0], sites)
 	}
 }

@@ -183,11 +183,16 @@ func (c *Complex) freePoly(p geom.Polygon) {
 // face set calls it.
 func (c *Complex) invalidate() { c.maxDistValid = false }
 
-// Reset returns the complex to its initial cut-free state while
-// retaining all allocated capacity (cut map buckets, face buffers,
-// polygon free list, site scratch), so repeated build/reset cycles on
-// one complex are allocation-free in steady state.
-func (c *Complex) Reset() {
+// Reset returns the complex to its initial cut-free state for the
+// top-k cell (k ≥ 1) while retaining all allocated capacity (cut map
+// buckets, face buffers, polygon free list, site scratch), so repeated
+// build/reset cycles on one complex are allocation-free in steady
+// state, whatever depth each cycle builds to.
+func (c *Complex) Reset(k int) {
+	if k < 1 {
+		panic("cell: k must be ≥ 1")
+	}
+	c.k = k
 	for i := range c.faces {
 		c.freePoly(c.faces[i].Poly)
 	}

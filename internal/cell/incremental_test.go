@@ -142,7 +142,7 @@ func TestResetRestoresInitialState(t *testing.T) {
 		c.AddCut(cut)
 	}
 	want := c.Area()
-	c.Reset()
+	c.Reset(c.K())
 	if got := c.Area(); !almost(got, 1, 1e-12) {
 		t.Fatalf("area after Reset = %.12f, want 1", got)
 	}
@@ -173,7 +173,7 @@ func TestAddCutSteadyStateAllocs(t *testing.T) {
 	}
 	c := NewFromRect(unitBox, 3)
 	insert := func() {
-		c.Reset()
+		c.Reset(c.K())
 		for _, cut := range cuts {
 			c.AddCut(cut)
 		}
@@ -352,7 +352,7 @@ func TestMaxDistFromMemoInvalidation(t *testing.T) {
 				check(step, "InsertSites", c)
 			case 3:
 				if rng.Intn(8) == 0 {
-					c.Reset()
+					c.Reset(c.K())
 					check(step, "Reset", c)
 				}
 			case 4:
@@ -365,10 +365,81 @@ func TestMaxDistFromMemoInvalidation(t *testing.T) {
 				cl := c.Clone()
 				check(step, "Clone", cl)
 				cl.MaxDistFrom(target)
-				cl.Reset()
+				cl.Reset(cl.K())
 				check(step, "Clone+Reset", cl)
 				check(step, "Clone (original)", c)
 			}
 		}
+	}
+}
+
+// TestShallowComplexIsDeepPrefix pins the invariant that lets a caller
+// build a cell only as deep as it needs: for the same sites fed
+// through InsertSites in the same batches, the depth-m complex holds
+// exactly the depth-k complex's faces of count ≤ m−1 — the same
+// polygons, bit for bit, in the same order. Counts only grow, a face
+// is split only by cuts that reach it, and the smaller region's
+// pruning drops only cuts that cannot touch those faces. So every
+// AreaAtMost(h) with h < m agrees bit for bit; AreaAtMost(m) is the
+// depth-m complex's incrementally cached area, equal only up to
+// rounding to the depth-k face sum. The depth-m complexes are one
+// complex Reset to each depth in turn.
+func TestShallowComplexIsDeepPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	shallow := NewFromRect(unitBox, 1)
+	pruned := 0 // shallow builds that registered fewer cuts
+	for round := 0; round < 60; round++ {
+		k := 2 + rng.Intn(5)
+		target := geom.RandomInRect(rng, unitBox)
+		if round%4 == 0 {
+			target = geom.Pt(rng.Float64()*1e-3, rng.Float64()) // near the boundary
+		}
+		var batches [][]Site
+		for b := 0; b < 1+rng.Intn(4); b++ {
+			batch := make([]Site, 5+rng.Intn(60))
+			for i := range batch {
+				batch[i] = Site{Key: int64(len(batches)*1000 + i), Loc: geom.RandomInRect(rng, unitBox)}
+			}
+			batches = append(batches, batch)
+		}
+		deep := NewFromRect(unitBox, k)
+		for _, batch := range batches {
+			InsertSites(deep, target, batch)
+		}
+		for m := 1; m <= k; m++ {
+			shallow.Reset(m)
+			for _, batch := range batches {
+				InsertSites(shallow, target, batch)
+			}
+			if shallow.NumCuts() < deep.NumCuts() {
+				pruned++
+			}
+			var want []Face
+			for _, f := range deep.Faces() {
+				if f.Count <= m-1 {
+					want = append(want, f)
+				}
+			}
+			got := shallow.Faces()
+			if len(got) != len(want) {
+				t.Fatalf("round %d k=%d m=%d: %d faces, want %d", round, k, m, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Count != want[i].Count || !slices.Equal(got[i].Poly, want[i].Poly) {
+					t.Fatalf("round %d k=%d m=%d: face %d differs", round, k, m, i)
+				}
+			}
+			for h := 1; h < m; h++ {
+				if g, w := shallow.AreaAtMost(h), deep.AreaAtMost(h); g != w {
+					t.Fatalf("round %d k=%d m=%d: AreaAtMost(%d) = %v, want %v", round, k, m, h, g, w)
+				}
+			}
+			if g, w := shallow.AreaAtMost(m), deep.AreaAtMost(m); !almost(g, w, 1e-12) {
+				t.Fatalf("round %d k=%d m=%d: AreaAtMost(%d) = %v, want %v", round, k, m, m, g, w)
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no shallow build pruned a cut; the test exercises nothing")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -216,5 +217,164 @@ func TestLRHistoryIndexMatchesReference(t *testing.T) {
 				t.Fatalf("region %v seed %d: stats %+v, reference %+v", region, seed, gotStats, wantStats)
 			}
 		}
+	}
+}
+
+// refChooser is the reference for LRAggregator.chooseH: the adaptive
+// rule over a seed always built to the full depth k, as it was before
+// seeds were built only as deep as the decision needs. It keeps its
+// own seed storage and h tally, so it runs beside the aggregator's
+// own chooseH without disturbing it.
+type refChooser struct {
+	a     *LRAggregator
+	seeds []*cell.Complex
+	hs    map[int]int
+}
+
+func (r *refChooser) chooseH(i int, tID int64, tLoc geom.Point) (int, *cell.Complex) {
+	a := r.a
+	k := a.opts.UseK
+	var seed *cell.Complex
+	if a.opts.UseHistory && a.hist.Len() > 1 {
+		if i == len(r.seeds) {
+			r.seeds = append(r.seeds, cell.New(a.bound.Polygon(), k))
+		}
+		seed = r.seeds[i]
+		seed.Reset(k)
+		a.hist.InsertInto(seed, tLoc, tID)
+	}
+	if a.opts.FixedH > 0 {
+		return min(a.opts.FixedH, k), seed
+	}
+	if seed == nil || k < 2 {
+		return 1, seed
+	}
+	lambda0 := a.opts.Lambda0Frac * a.bound.Area()
+	h := 1
+	for cand := 2; cand <= k; cand++ {
+		if seed.AreaAtMost(cand) <= lambda0 {
+			h = cand
+		} else {
+			break
+		}
+	}
+	r.hs[h]++
+	return h, seed
+}
+
+// sameRegion reports whether two complexes hold bitwise-identical
+// faces in the same order and the same cached area. Their cut
+// registries may differ: a shallower seed registers fewer cuts.
+func sameRegion(a, b *cell.Complex) bool {
+	fa, fb := a.Faces(), b.Faces()
+	if a.K() != b.K() || len(fa) != len(fb) || math.Float64bits(a.Area()) != math.Float64bits(b.Area()) {
+		return false
+	}
+	for i := range fa {
+		if fa[i].Count != fb[i].Count || !slices.Equal(fa[i].Poly, fb[i].Poly) {
+			return false
+		}
+	}
+	return true
+}
+
+// step is LRAggregator.Step with the reference chooseH weighting the
+// tuples. At every choice it also runs the aggregator's own chooseH
+// and fails unless both pick the same h and the same top-h region.
+func (r *refChooser) step(t *testing.T, ctx context.Context, aggs []Aggregate) []float64 {
+	t.Helper()
+	a := r.a
+	recs, err := a.query(ctx, a.smp.Sample(a.rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, len(aggs))
+	if len(recs) == 0 {
+		a.stats.EmptyAnswers++
+		a.stats.Samples++
+		return out
+	}
+	kUse := min(a.opts.UseK, len(recs))
+	hs := make([]int, kUse)
+	seeds := make([]*cell.Complex, kUse)
+	for i := 0; i < kUse; i++ {
+		hs[i], seeds[i] = r.chooseH(i, recs[i].ID, recs[i].Loc)
+		h, seed := a.chooseH(i, recs[i].ID, recs[i].Loc)
+		if h != hs[i] {
+			t.Fatalf("rank %d: chooseH picked h=%d, reference %d", i, h, hs[i])
+		}
+		if (seed == nil) != (seeds[i] == nil) || seed != nil && !sameRegion(seed.WithK(h), seeds[i].WithK(h)) {
+			t.Fatalf("rank %d h=%d: seed.WithK(h) differs from the reference", i, h)
+		}
+	}
+	a.observe(recs, nil)
+	for i := 0; i < kUse; i++ {
+		if i+1 > hs[i] {
+			continue
+		}
+		w, err := a.computeWeight(ctx, recs[i].ID, recs[i].Loc, hs[i], recs, seeds[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := recordOfLR(recs[i])
+		for j := range aggs {
+			out[j] += aggs[j].Value(rec) * w
+		}
+	}
+	a.stats.Samples++
+	return out
+}
+
+// TestLRShallowSeedsMatchDepthK pins chooseH's depth-on-demand seeds
+// against the always-depth-k reference: at every choice the same h and
+// the same seed.WithK(h) region, and per run the same per-sample
+// outputs, query counts and LRStats (AdaptiveHChosen included) as a
+// run weighting through the reference. The adaptive runs choose both
+// h = 1 and h ≥ 2; the FixedH runs cover h < k and h = k.
+func TestLRShallowSeedsMatchDepthK(t *testing.T) {
+	aggs := []Aggregate{Count(), SumAttr("pop")}
+	type config struct {
+		seed    int64
+		lambda0 float64
+		fixedH  int
+		region  geom.Rect
+	}
+	configs := []config{
+		{seed: 1}, {seed: 2, lambda0: 0.01}, {seed: 3, lambda0: 0.05},
+		{seed: 4, lambda0: 0.01, region: geom.NewRect(geom.Pt(20, 30), geom.Pt(70, 60))},
+		{seed: 5, fixedH: 2}, {seed: 6, fixedH: 5},
+	}
+	adaptive := map[int]int{}
+	for _, cfg := range configs {
+		opts := DefaultLROptions(cfg.seed)
+		opts.Lambda0Frac, opts.FixedH, opts.Region = cfg.lambda0, cfg.fixedH, cfg.region
+		ctx := context.Background()
+		gotSvc, wantSvc := dupService(200+cfg.seed), dupService(200+cfg.seed)
+		got := NewLRAggregator(gotSvc, opts)
+		ref := &refChooser{a: NewLRAggregator(wantSvc, opts), hs: map[int]int{}}
+		for i := 0; i < 60; i++ {
+			out, err := got.Step(ctx, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ref.step(t, ctx, aggs); !slices.Equal(out, want) {
+				t.Fatalf("%+v sample %d: outputs %v, reference %v", cfg, i, out, want)
+			}
+			if g, w := gotSvc.QueryCount(), wantSvc.QueryCount(); g != w {
+				t.Fatalf("%+v sample %d: %d queries, reference %d", cfg, i, g, w)
+			}
+		}
+		if st := got.Stats(); !reflect.DeepEqual(st, ref.a.Stats()) {
+			t.Fatalf("%+v: stats %+v, reference %+v", cfg, st, ref.a.Stats())
+		}
+		if cfg.fixedH == 0 && !reflect.DeepEqual(got.Stats().AdaptiveHChosen, ref.hs) {
+			t.Fatalf("%+v: AdaptiveHChosen %v, reference %v", cfg, got.Stats().AdaptiveHChosen, ref.hs)
+		}
+		for h, n := range ref.hs {
+			adaptive[h] += n
+		}
+	}
+	if adaptive[1] == 0 || len(adaptive) < 3 {
+		t.Fatalf("adaptive runs chose h %v; want h = 1 and at least two h ≥ 2", adaptive)
 	}
 }

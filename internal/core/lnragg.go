@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"maps"
 	"math"
 	"math/rand"
@@ -712,9 +713,14 @@ func (a *LNRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, 
 		}
 		rec := recordOfLNR(t)
 		if needLoc {
-			if loc, err := a.localizeWith(ctx, cctx); err == nil {
-				rec.HasLoc = true
-				rec.Loc = loc
+			// A geometric failure leaves the tuple unlocated; an oracle
+			// or context error ends the sample like any other query's.
+			loc, err := a.localizeWith(ctx, cctx)
+			switch {
+			case err == nil:
+				rec.HasLoc, rec.Loc = true, loc
+			case !errors.Is(err, errUnlocatable):
+				return nil, err
 			}
 		}
 		for j := range aggs {

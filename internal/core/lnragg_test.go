@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/cell"
 	"repro/internal/geom"
 	"repro/internal/lbs"
+	"repro/internal/workload"
 )
 
 // lnrFixture builds a small service and returns ground-truth helpers.
@@ -221,6 +223,63 @@ func TestLNRBudgetStops(t *testing.T) {
 	}
 	if res[0].Queries > 3000 {
 		t.Errorf("budget exceeded: %d", res[0].Queries)
+	}
+}
+
+// refusalCounter counts the queries its service refuses for budget,
+// on both the single and the batch path.
+type refusalCounter struct {
+	*lbs.Service
+	refused int
+}
+
+func (r *refusalCounter) QueryLNR(ctx context.Context, q geom.Point, f lbs.Filter) ([]lbs.LNRRecord, error) {
+	recs, err := r.Service.QueryLNR(ctx, q, f)
+	if errors.Is(err, lbs.ErrBudgetExhausted) {
+		r.refused++
+	}
+	return recs, err
+}
+
+func (r *refusalCounter) QueryLNRBatch(ctx context.Context, pts []geom.Point, f lbs.Filter) ([][]lbs.LNRRecord, error) {
+	answers, err := r.Service.QueryLNRBatch(ctx, pts, f)
+	if errors.Is(err, lbs.ErrBudgetExhausted) {
+		r.refused++
+	}
+	return answers, err
+}
+
+// TestLNRStepSurfacesBudgetInLocalization pins that a budget dying
+// while a sampled tuple is being localized ends the Step with
+// ErrBudgetExhausted. Treating the refusal as "no location" would
+// complete the sample and fold 0 into every location aggregate. At
+// each of these budgets a sample's localization runs out: the eighth
+// or ninth sample at aggregator seed 0, the ninth or tenth at seed 1.
+func TestLNRStepSurfacesBudgetInLocalization(t *testing.T) {
+	db := workload.WeiboChina(400, 1).DB
+	b := db.Bounds()
+	quarter := geom.NewRect(b.Min, b.Center())
+	aggs := []Aggregate{Count(), CountInRect(quarter)}
+	for _, run := range []struct{ seed, budget int64 }{{0, 3060}, {0, 3333}, {1, 3280}, {1, 3530}} {
+		seed, budget := run.seed, run.budget
+		svc := &refusalCounter{Service: lbs.NewService(db, lbs.Options{K: 5, Budget: budget})}
+		agg := NewLNRAggregator(svc, LNROptions{Seed: seed})
+		for sample := 1; ; sample++ {
+			before := svc.refused
+			out, err := agg.Step(context.Background(), aggs)
+			if err != nil {
+				if !errors.Is(err, lbs.ErrBudgetExhausted) {
+					t.Fatalf("seed %d budget %d sample %d: %v", seed, budget, sample, err)
+				}
+				break
+			}
+			if n := svc.refused - before; n > 0 {
+				t.Fatalf("seed %d budget %d: sample %d completed with %v after %d refused queries", seed, budget, sample, out, n)
+			}
+		}
+		if agg.Stats().Localizations == 0 {
+			t.Fatalf("seed %d budget %d: no localization ran", seed, budget)
+		}
 	}
 }
 

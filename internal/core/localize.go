@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -45,6 +46,18 @@ func (a *LNRAggregator) Localize(ctx context.Context, tID int64, anchor geom.Poi
 	return a.localizeWith(ctx, cctx)
 }
 
+// errUnlocatable marks a localization that failed for geometric
+// reasons: too few usable cell vertices, no observable rank flip, a
+// degenerate construction. The tuple then stays unlocated and the
+// sample goes on. Every other error (a refused or failed query, a
+// canceled context) ends the sample, as it does anywhere else in Step.
+var errUnlocatable = errors.New("core: localization failed")
+
+// unlocatable returns a geometric localization failure.
+func unlocatable(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{errUnlocatable}, args...)...)
+}
+
 // vertexLine is one (o, line-through-t) pair derived at a cell vertex.
 type vertexLine struct {
 	o    geom.Point
@@ -56,11 +69,11 @@ type vertexLine struct {
 func (a *LNRAggregator) localizeWith(ctx context.Context, c *lnrCell) (geom.Point, error) {
 	a.stats.Localizations++
 	if c.h != 1 {
-		return geom.Point{}, fmt.Errorf("core: localization requires a top-1 cell")
+		return geom.Point{}, unlocatable("localization needs a top-1 cell, not top-%d", c.h)
 	}
 	keys := c.region.CutKeys()
 	if len(keys) < 2 {
-		return geom.Point{}, fmt.Errorf("core: cell of %d has %d inferred edges; need ≥ 2", c.tID, len(keys))
+		return geom.Point{}, unlocatable("cell of %d has %d inferred edges; need ≥ 2", c.tID, len(keys))
 	}
 	verts := c.region.Vertices()
 	// Candidate vertices: intersections of cut-line pairs, preferring
@@ -96,7 +109,7 @@ func (a *LNRAggregator) localizeWith(ctx context.Context, c *lnrCell) (geom.Poin
 		}
 	}
 	if len(cands) < 2 {
-		return geom.Point{}, fmt.Errorf("core: cell of %d lacks two usable vertices", c.tID)
+		return geom.Point{}, unlocatable("cell of %d lacks two usable vertices", c.tID)
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].vertDist < cands[j].vertDist })
 
@@ -119,20 +132,23 @@ func (a *LNRAggregator) localizeWith(ctx context.Context, c *lnrCell) (geom.Poin
 			continue
 		}
 		vl, err := a.vertexLineAt(ctx, c, cd.k1, cd.k2, cd.o)
-		if err != nil {
+		if errors.Is(err, errUnlocatable) {
 			continue // try the next candidate vertex
+		}
+		if err != nil {
+			return geom.Point{}, err
 		}
 		lines = append(lines, vl)
 	}
 	if len(lines) < 2 {
-		return geom.Point{}, fmt.Errorf("core: could not derive two vertex lines for %d", c.tID)
+		return geom.Point{}, unlocatable("could not derive two vertex lines for %d", c.tID)
 	}
 	t, ok := lines[0].line.Intersect(lines[1].line)
 	if !ok {
-		return geom.Point{}, fmt.Errorf("core: vertex lines for %d are parallel", c.tID)
+		return geom.Point{}, unlocatable("vertex lines for %d are parallel", c.tID)
 	}
 	if !a.bound.Expand(a.bound.Diagonal() * 0.01).Contains(t) {
-		return geom.Point{}, fmt.Errorf("core: localization of %d landed outside the region", c.tID)
+		return geom.Point{}, unlocatable("localization of %d landed outside the region", c.tID)
 	}
 	return t, nil
 }
@@ -154,7 +170,7 @@ func (a *LNRAggregator) vertexLineAt(ctx context.Context, c *lnrCell, k1, k2 int
 	p := o.Add(d2.Direction().Scale(scale))
 	r1, r2 := l1.Reflect(p), l2.Reflect(p)
 	if r1.Dist(r2) < geom.Eps {
-		return vertexLine{}, fmt.Errorf("core: degenerate reflection at vertex %v", o)
+		return vertexLine{}, unlocatable("degenerate reflection at vertex %v", o)
 	}
 	return vertexLine{o: o, line: geom.Bisector(r1, r2)}, nil
 }
@@ -218,5 +234,5 @@ func (a *LNRAggregator) findThirdBisector(ctx context.Context, c *lnrCell, t2, t
 		}
 		radius /= 2 // shrink toward o where t2/t3 visibility improves
 	}
-	return geom.Line{}, fmt.Errorf("core: could not observe a (t2, t3) rank flip near the vertex")
+	return geom.Line{}, unlocatable("could not observe a (t2, t3) rank flip near the vertex")
 }

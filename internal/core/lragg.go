@@ -245,42 +245,75 @@ func (a *LRAggregator) massOfRegion(region *cell.Complex) float64 {
 
 // chooseH implements the variance-reduction rule of §3.2.3: the
 // largest h ∈ [2, k] whose history-derived upper bound λ_h(t) is below
-// λ0, else 1; additionally it returns the history-seeded top-k complex
-// so the caller can continue from it without recomputation.
+// λ0, else 1; additionally it returns a history-seeded complex deep
+// enough for the caller to continue from seed.WithK(h) without
+// recomputation (nil without history).
+//
+// The seed is built only as deep as the decision needs. A depth-m
+// complex holds exactly the depth-k complex's faces of count ≤ m−1, as
+// the same polygons in the same order: counts only grow, a face is
+// split only by cuts that reach it, and InsertSites prunes by the
+// smaller region's reach, dropping only cuts that cannot touch those
+// faces. So the depth-2 complex decides λ_2 > λ0 (h = 1, the common
+// case) on its own, and only a tuple with λ_2 ≤ λ0 pays for depth k.
 // The complex is the i-th of the aggregator's reusable seeds: it stays
 // valid until the next Step.
 func (a *LRAggregator) chooseH(i int, tID int64, tLoc geom.Point) (int, *cell.Complex) {
 	k := a.opts.UseK
-	var seed *cell.Complex
-	if a.opts.UseHistory && a.hist.Len() > 1 {
-		if i == len(a.seeds) {
-			a.seeds = append(a.seeds, cell.New(a.bound.Polygon(), k))
-		}
-		seed = a.seeds[i]
-		seed.Reset()
-		a.hist.InsertInto(seed, tLoc, tID)
-	}
 	if a.opts.FixedH > 0 {
-		h := a.opts.FixedH
-		if h > k {
-			h = k
-		}
-		return h, seed
+		h := min(a.opts.FixedH, k)
+		// One level deeper than h (when k allows), so WithK(h) filters
+		// and re-sums the faces exactly as it does on a depth-k seed.
+		return h, a.buildSeed(i, tID, tLoc, min(h+1, k))
 	}
+	seed := a.buildSeed(i, tID, tLoc, min(2, k))
 	if seed == nil || k < 2 {
 		return 1, seed
 	}
-	lambda0 := a.opts.Lambda0Frac * a.bound.Area()
 	h := 1
-	for cand := 2; cand <= k; cand++ {
-		if seed.AreaAtMost(cand) <= lambda0 {
+	if lambda0 := a.opts.Lambda0Frac * a.bound.Area(); areaAtMost2(seed, k) <= lambda0 {
+		if k > 2 {
+			seed = a.buildSeed(i, tID, tLoc, k)
+		}
+		for cand := 2; cand <= k; cand++ {
+			if seed.AreaAtMost(cand) > lambda0 {
+				break // λ_h is non-decreasing in h
+			}
 			h = cand
-		} else {
-			break // λ_h is non-decreasing in h
 		}
 	}
 	a.stats.AdaptiveHChosen[h]++
 	return h, seed
+}
+
+// buildSeed resets the i-th reusable complex to depth k and fills it from
+// the history; nil when history is off or holds at most one tuple.
+func (a *LRAggregator) buildSeed(i int, tID int64, tLoc geom.Point, k int) *cell.Complex {
+	if !a.opts.UseHistory || a.hist.Len() <= 1 {
+		return nil
+	}
+	if i == len(a.seeds) {
+		a.seeds = append(a.seeds, cell.New(a.bound.Polygon(), k))
+	}
+	c := a.seeds[i]
+	c.Reset(k)
+	a.hist.InsertInto(c, tLoc, tID)
+	return c
+}
+
+// areaAtMost2 returns λ_2 from a depth-min(2, k) seed bit for bit as
+// the depth-k seed's AreaAtMost(2) computes it: the incrementally
+// cached area when k = 2, else the face areas summed in order.
+func areaAtMost2(seed *cell.Complex, k int) float64 {
+	if k == 2 {
+		return seed.Area()
+	}
+	var sum float64
+	faces := seed.Faces()
+	for i := range faces {
+		sum += faces[i].Area()
+	}
+	return sum
 }
 
 // cellContext carries the confirmation state of one cell computation.
@@ -326,7 +359,7 @@ func (a *LRAggregator) canSkip(cc *cellContext, p geom.Point) bool {
 // computeWeight computes 1/p̂(t) for tuple t using its top-h Voronoi
 // cell, by the Theorem-1 loop plus the enabled devices. hint is the
 // answer that discovered t (used by fast initialization); seed is the
-// history-derived top-k complex from chooseH (may be nil).
+// history-seeded complex from chooseH, at least h deep (may be nil).
 func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.Point, h int, hint []lbs.LRRecord, seed *cell.Complex) (float64, error) {
 	a.stats.Cells++
 	cc := &cellContext{tID: tID, tLoc: tLoc, h: h}

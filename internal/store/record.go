@@ -158,10 +158,10 @@ func (r *reader) point() (geom.Point, error) {
 	return geom.Pt(x, y), nil
 }
 
-// capHint bounds a decoded element count used as a map size hint: a
-// corrupt count must not drive a giant allocation before the
-// inevitable truncation error surfaces on the first entry read (every
-// entry costs at least one input byte).
+// capHint bounds a decoded element count used as a map size or slice
+// capacity hint: a corrupt count must not drive a giant allocation
+// before the inevitable truncation error surfaces on the first entry
+// read (every entry costs at least one input byte).
 func capHint(n uint64, remaining int) int {
 	if n > uint64(remaining) {
 		return remaining

@@ -24,7 +24,7 @@ type tortureFixture struct {
 	maxEp  uint64
 }
 
-func buildTortureFixture(t *testing.T) tortureFixture {
+func buildTortureFixture(t testing.TB) tortureFixture {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := Open(dir, Options{PageSize: 512, PoolPages: 8})
